@@ -59,8 +59,7 @@ use isa_grid::{
     DomainId, DomainSpec, GateSpec, GridLayout, Pcu, PcuConfig, SHOOTDOWN_DEADLINE_POLLS,
 };
 use isa_obs::{
-    AuditRecord, Counters, Histogram, Json, ProfSink, ReqTracer, RunProfile, TimeSeries, ToJson,
-    TraceEvent,
+    AuditRecord, Counters, Histogram, Json, Obs, RunProfile, Spine, TimeSeries, ToJson, TraceEvent,
 };
 pub use isa_obs::{TraceCollector, TraceMode, TracePolicy, TraceReport};
 use isa_replay::wire::KIND_SERVE;
@@ -923,7 +922,7 @@ fn build_smp(cfg: &ServeConfig, prog: &Program) -> (Smp, Vec<DomainId>) {
     m0.set_bbcache(true);
     m0.set_jit(cfg.jit);
     if cfg.profile {
-        m0.set_profiler(ProfSink::enabled(0));
+        m0.set_obs(Obs::new(Spine::new().with_profile(0)));
     }
     machines.push(m0);
     for h in 1..cfg.harts {
@@ -936,7 +935,7 @@ fn build_smp(cfg: &ServeConfig, prog: &Program) -> (Smp, Vec<DomainId>) {
         m.set_bbcache(true);
         m.set_jit(cfg.jit);
         if cfg.profile {
-            m.set_profiler(ProfSink::enabled(h));
+            m.set_obs(Obs::new(Spine::new().with_profile(h)));
         }
         machines.push(m);
     }
@@ -1060,10 +1059,10 @@ struct ServeState {
     restores: u64,
     oracle_checks: u64,
     divergences: u64,
-    /// Per-hart request tracers (empty when tracing is off). Each is a
-    /// handle into the hart's private span buffer; the driver tags it
-    /// with the in-flight request and drains it after every round.
-    tracers: Vec<ReqTracer>,
+    /// Per-hart observability handles with the request buffer on
+    /// (empty when tracing is off). The driver tags each with the
+    /// in-flight request and drains it after every round.
+    tracers: Vec<Obs>,
     /// Assembles drained events into span trees and tail-samples them.
     collector: TraceCollector,
 }
@@ -1369,7 +1368,7 @@ impl ServeState {
 
         let m0 = sess.smp().machine(0);
         let at = sess.vclock();
-        m0.trace.emit(|| TraceEvent::Restore {
+        m0.obs.emit(|| TraceEvent::Restore {
             at,
             digest: state_digest(&snap),
         });
@@ -1450,7 +1449,7 @@ impl ServeState {
                 self.sess
                     .smp()
                     .machine(0)
-                    .trace
+                    .obs
                     .emit(|| TraceEvent::Snapshot {
                         at,
                         digest: state_digest(&snap),
@@ -1703,7 +1702,7 @@ impl ServeState {
                     self.sess
                         .smp()
                         .machine(0)
-                        .trace
+                        .obs
                         .emit(|| TraceEvent::Divergence {
                             pc: d.pc,
                             step: d.step,
@@ -1796,7 +1795,7 @@ impl ServeState {
         self.sess
             .smp()
             .machine(0)
-            .trace
+            .obs
             .emit(|| TraceEvent::Snapshot { at, digest });
     }
 
@@ -1864,7 +1863,7 @@ impl ServeState {
         m0.ext
             .update_domain(&mut m0.bus, dom, &DomainSpec::deny_all());
         let t = tenant as u64;
-        m0.trace.emit(|| TraceEvent::Quarantine {
+        m0.obs.emit(|| TraceEvent::Quarantine {
             tenant: t,
             domain: dom.0,
         });
@@ -1984,6 +1983,9 @@ impl ServeState {
                     fresh.restores += self.restores;
                     fresh.oracle_checks += self.oracle_checks;
                     fresh.divergences += self.divergences;
+                    // The step total keeps counting from the start of
+                    // the run, so the stepping time must too.
+                    fresh.sess.add_host_secs(self.sess.host_secs());
                     fresh.recovery.recoveries += 1;
                     fresh.recovery.retry_count += fresh.inflight.iter().flatten().count() as u64;
                     fresh.recovery.spans.push(RecoverySpan {
@@ -2048,7 +2050,7 @@ impl ServeState {
     /// `h`'s cycle counter at `base[h]`).
     fn drain_tracers(&mut self, vclock: u64, base: &[u64]) {
         for (h, (tr, b)) in self.tracers.iter().zip(base).enumerate() {
-            for ev in tr.drain() {
+            for ev in tr.drain_requests() {
                 let t = vclock + ev.t.saturating_sub(*b);
                 self.collector.ingest(h, ev.id, t, ev.ev);
             }
@@ -2087,7 +2089,7 @@ impl ServeState {
         counters.run.sheds += self.shed;
         counters.run.recoveries += self.recovery.recoveries;
         for tr in &self.tracers {
-            let (emitted, dropped) = tr.counts();
+            let (emitted, dropped) = tr.request_counts();
             self.collector.absorb_tracer_counts(emitted, dropped);
         }
         let quarantined: Vec<u64> = self
@@ -2406,6 +2408,50 @@ mod tests {
         cfg.rotate_every = 32;
         cfg.flush_every = 8;
         run(&cfg)
+    }
+
+    #[test]
+    fn restores_keep_the_stepping_time_from_before_them() {
+        let mut cfg = ServeConfig::new(2, 16, 1, 3);
+        cfg.self_heal = true;
+        cfg.checkpoint_every = 8;
+        let mut st = ServeState::new(&cfg);
+        st.take_checkpoint();
+        st.sess.round_all();
+        let before = st.sess.host_secs();
+        assert!(before > 0.0, "booting stepped the harts");
+        st.restore_latest();
+        assert_eq!(st.restores, 1, "the checkpoint restored");
+        assert!(st.sess.host_secs() >= before, "restore dropped host time");
+
+        // End to end: a run that restores reports a host rate the host
+        // could reach (timing only the post-restore stepping gave the
+        // committed BENCH_serve.json 1232 MIPS).
+        let mut cfg = ServeConfig::new(3, 48, 2, 0);
+        cfg.rotate_every = 0;
+        cfg.flush_every = 8;
+        cfg.self_heal = true;
+        cfg.request_fault_ppm = 90_000;
+        cfg.checkpoint_every = 8;
+        cfg.watchdog_rounds = 128;
+        let o = run(&cfg);
+        assert!(o.counters.run.restores > 0, "the run restored");
+        let mips = o.total_steps as f64 / o.host_secs / 1e6;
+        assert!(mips < 1000.0, "host_mips {mips} is not physical");
+    }
+
+    #[test]
+    fn per_hart_profiles_add_up_to_the_step_count() {
+        let mut cfg = ServeConfig::new(4, 40, 4, 11);
+        cfg.rotate_every = 16;
+        cfg.profile = true;
+        let o = run(&cfg);
+        let profiles = &o.profiles[0].profiles;
+        assert_eq!(profiles.len(), 4);
+        let steps: u64 = profiles.iter().map(isa_obs::Profile::steps).sum();
+        assert!(profiles.iter().all(|p| p.steps() > 0), "every hart stepped");
+        assert_eq!(steps, o.counters.run.steps);
+        assert_eq!(steps, o.total_steps);
     }
 
     #[test]

@@ -121,7 +121,7 @@ fn timed_run(
         let mut m = Machine::on_bus(Pcu::new(PcuConfig::eight_e()), hb);
         m.cpu.pc = base;
         if profile {
-            m.set_profiler(isa_obs::ProfSink::enabled(h));
+            m.set_obs(isa_obs::Obs::new(isa_obs::Spine::new().with_profile(h)));
         }
         m
     });

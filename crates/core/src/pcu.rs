@@ -1,9 +1,7 @@
 //! The Privilege Check Unit (PCU) — ISA-Grid's hardware extension
 //! (§3.3, §4), implemented against the `isa-sim` [`Extension`] seam.
 
-use isa_obs::{
-    AuditKind, AuditLog, AuditRecord, CacheKind, CheckKind, Counters, TraceEvent, TraceSink,
-};
+use isa_obs::{AuditKind, AuditLog, AuditRecord, CacheKind, CheckKind, Counters, Obs, TraceEvent};
 use isa_sim::csr::addr;
 use isa_sim::{Bus, CpuState, Decoded, Exception, ExtEvents, Extension, Flow, Kind, Priv};
 
@@ -421,7 +419,9 @@ pub struct Pcu {
     legal_cache: PrivCache,
     ipr: InstPrivReg,
     ev: ExtEvents,
-    trace: TraceSink,
+    /// The machine's observability handle; only the event ring reads
+    /// what the PCU emits.
+    obs: Obs,
     /// SMP coherence cell shared with the other harts' PCUs, plus the
     /// hart this PCU belongs to. `None` on single-hart machines.
     shoot: Option<Arc<ShootdownCell>>,
@@ -480,7 +480,7 @@ pub struct FaultLayerStats {
 /// by [`Pcu::export_state`] and consumed by [`Pcu::import_state`].
 ///
 /// Excluded on purpose: the [`PcuConfig`] (part of the machine recipe,
-/// which the restoring caller rebuilds), the trace sink and hart id
+/// which the restoring caller rebuilds), the observability handle and hart id
 /// (host-side attachments), the shared [`SealStore`] and
 /// [`crate::ShootdownCell`] (exported once per machine, not per PCU),
 /// the per-step event accumulator (always empty at step boundaries),
@@ -548,7 +548,7 @@ impl Pcu {
             legal_cache: PrivCache::new(cfg.legal_cache),
             ipr: InstPrivReg::default(),
             ev: ExtEvents::default(),
-            trace: TraceSink::off(),
+            obs: Obs::off(),
             shoot: None,
             hart: 0,
             stats: PcuStats::default(),
@@ -581,8 +581,8 @@ impl Pcu {
     }
 
     /// A plain-data snapshot of this PCU's configuration, layout and
-    /// Table 2 registers. Unlike `Pcu` itself (which owns a trace
-    /// sink), the snapshot is `Send + Sync`, so a parallel runner can
+    /// Table 2 registers. Unlike `Pcu` itself (which holds an
+    /// observability handle), the snapshot is `Send + Sync`, so a parallel runner can
     /// capture it once and [`PcuSnapshot::build`] per-hart mirrors
     /// inside worker threads.
     pub fn snapshot(&self) -> PcuSnapshot {
@@ -640,18 +640,6 @@ impl Pcu {
     /// The shared shootdown cell, if this PCU participates in one.
     pub fn shootdown_cell(&self) -> Option<&Arc<ShootdownCell>> {
         self.shoot.as_ref()
-    }
-
-    /// Route trace events into `sink`. Share a clone of the same sink
-    /// with the [`isa_sim::Machine`] so PCU events interleave with
-    /// retire events in commit order.
-    pub fn set_tracer(&mut self, sink: TraceSink) {
-        self.trace = sink;
-    }
-
-    /// The sink this PCU emits trace events into.
-    pub fn tracer(&self) -> &TraceSink {
-        &self.trace
     }
 
     /// Initialize the in-memory privilege structures: zero the tables and
@@ -865,7 +853,7 @@ impl Pcu {
         self.publish_shootdown();
         self.fstats.injected += 1;
         self.note_fault_event();
-        self.trace.emit(|| TraceEvent::FaultInjected {
+        self.obs.emit(|| TraceEvent::FaultInjected {
             kind: "chaos_table_flip",
             detail: addr,
         });
@@ -882,7 +870,7 @@ impl Pcu {
         self.fstats.injected += 1;
         self.note_fault_event();
         let detail = u64::from(polls);
-        self.trace.emit(|| TraceEvent::FaultInjected {
+        self.obs.emit(|| TraceEvent::FaultInjected {
             kind: "chaos_shootdown_jam",
             detail,
         });
@@ -920,7 +908,7 @@ impl Pcu {
         c.gates.returns = self.stats.gate_returns;
         c.gates.prefetches = self.stats.prefetches;
         c.gates.flushes = self.stats.flushes;
-        c.run.trace_dropped = self.trace.dropped();
+        c.run.trace_dropped = self.obs.dropped();
         c.run.audit_denied = self.audit.total();
         c.run.fault_injected = self.fstats.injected;
         c.run.fault_detected = self.fstats.detected;
@@ -961,8 +949,8 @@ impl Pcu {
 
     /// Export every piece of mutable PCU state (snapshot seam). The
     /// shared structures — seal store, shootdown cell — are exported
-    /// separately, once per machine, by the replay harness; the trace
-    /// sink is host-side and excluded. Call at a step boundary (the
+    /// separately, once per machine, by the replay harness; the
+    /// observability handle is host-side and excluded. Call at a step boundary (the
     /// per-step event accumulator is excluded because `drain_events`
     /// empties it at the end of every step).
     pub fn export_state(&self) -> PcuState {
@@ -1114,13 +1102,13 @@ impl Pcu {
             tag |= UTAG_INST;
         }
         if let Some(p) = self.inst_cache.lookup(tag) {
-            self.trace.emit(|| TraceEvent::Cache {
+            self.obs.emit(|| TraceEvent::Cache {
                 cache: CacheKind::HptInst,
                 hit: true,
             });
             return Ok(p[0]);
         }
-        self.trace.emit(|| TraceEvent::Cache {
+        self.obs.emit(|| TraceEvent::Cache {
             cache: CacheKind::HptInst,
             hit: false,
         });
@@ -1182,7 +1170,7 @@ impl Pcu {
             &mut self.reg_cache
         };
         let hit = cache.lookup(tag);
-        self.trace.emit(|| TraceEvent::Cache {
+        self.obs.emit(|| TraceEvent::Cache {
             cache: CacheKind::HptReg,
             hit: hit.is_some(),
         });
@@ -1221,13 +1209,13 @@ impl Pcu {
             &mut self.mask_cache
         };
         if let Some(p) = cache.lookup(tag) {
-            self.trace.emit(|| TraceEvent::Cache {
+            self.obs.emit(|| TraceEvent::Cache {
                 cache: CacheKind::HptMask,
                 hit: true,
             });
             return Ok(p[0]);
         }
-        self.trace.emit(|| TraceEvent::Cache {
+        self.obs.emit(|| TraceEvent::Cache {
             cache: CacheKind::HptMask,
             hit: false,
         });
@@ -1246,13 +1234,13 @@ impl Pcu {
     /// `[gate_addr, dest_addr, dest_domain, flags]`.
     fn sgt_entry(&mut self, bus: &mut Bus, gid: u64) -> Result<[u64; 4], Exception> {
         if let Some(p) = self.sgt_cache.lookup(gid) {
-            self.trace.emit(|| TraceEvent::Cache {
+            self.obs.emit(|| TraceEvent::Cache {
                 cache: CacheKind::Sgt,
                 hit: true,
             });
             return Ok(p);
         }
-        self.trace.emit(|| TraceEvent::Cache {
+        self.obs.emit(|| TraceEvent::Cache {
             cache: CacheKind::Sgt,
             hit: false,
         });
@@ -1314,7 +1302,7 @@ impl Pcu {
         self.fstats.denied += 1;
         self.note_fault_event();
         let detail = e.tval();
-        self.trace.emit(|| TraceEvent::IntegrityEvent {
+        self.obs.emit(|| TraceEvent::IntegrityEvent {
             scope: "table",
             detail,
             recovered: false,
@@ -1335,7 +1323,7 @@ impl Pcu {
         self.fstats.detected += 1;
         self.fstats.recovered += 1;
         self.note_fault_event();
-        self.trace.emit(|| TraceEvent::IntegrityEvent {
+        self.obs.emit(|| TraceEvent::IntegrityEvent {
             scope: "prefetch",
             detail: addr,
             recovered: true,
@@ -1363,7 +1351,7 @@ impl Pcu {
             .ev
             .fault_events
             .saturating_add(fresh.min(u64::from(u16::MAX)) as u16);
-        self.trace.emit(|| TraceEvent::IntegrityEvent {
+        self.obs.emit(|| TraceEvent::IntegrityEvent {
             scope: "cache",
             detail: fresh,
             recovered: true,
@@ -1429,7 +1417,7 @@ impl Pcu {
             self.fstats.injected += 1;
             self.note_fault_event();
             let name = kind.name();
-            self.trace
+            self.obs
                 .emit(|| TraceEvent::FaultInjected { kind: name, detail });
         }
     }
@@ -1527,14 +1515,14 @@ impl Pcu {
         self.regs.domain = dest_domain;
         self.ipr.valid = false;
         self.ev.gate_switch = true;
-        self.trace.emit(|| TraceEvent::GateCall {
+        self.obs.emit(|| TraceEvent::GateCall {
             gate: gate_addr,
             target: dest_addr,
             from_domain: from as u16,
             to_domain: dest_domain as u16,
             extended,
         });
-        self.trace.emit(|| TraceEvent::DomainSwitch {
+        self.obs.emit(|| TraceEvent::DomainSwitch {
             from: from as u16,
             to: dest_domain as u16,
         });
@@ -1561,12 +1549,12 @@ impl Pcu {
         self.regs.domain = dom;
         self.ipr.valid = false;
         self.ev.gate_switch = true;
-        self.trace.emit(|| TraceEvent::GateReturn {
+        self.obs.emit(|| TraceEvent::GateReturn {
             target: ret,
             from_domain: from as u16,
             to_domain: dom as u16,
         });
-        self.trace.emit(|| TraceEvent::DomainSwitch {
+        self.obs.emit(|| TraceEvent::DomainSwitch {
             from: from as u16,
             to: dom as u16,
         });
@@ -1638,7 +1626,7 @@ impl Pcu {
             CacheKind::Sgt => self.sgt_cache.flush(),
             CacheKind::Legal => self.legal_cache.flush(),
         };
-        self.trace.emit(|| TraceEvent::CacheFlush {
+        self.obs.emit(|| TraceEvent::CacheFlush {
             cache: kind,
             discarded,
         });
@@ -1682,7 +1670,7 @@ impl Pcu {
         let epoch = cell.publish(self.hart);
         self.stats.shootdowns_sent += 1;
         let hart = self.hart as u64;
-        self.trace.emit(|| TraceEvent::Shootdown { hart, epoch });
+        self.obs.emit(|| TraceEvent::Shootdown { hart, epoch });
     }
 
     /// Honor a pending shootdown: flush every privilege cache, charge
@@ -1721,7 +1709,7 @@ impl Pcu {
             self.fstats.detected += 1;
             self.fstats.denied += 1;
             self.note_fault_event();
-            self.trace.emit(|| TraceEvent::IntegrityEvent {
+            self.obs.emit(|| TraceEvent::IntegrityEvent {
                 scope: "shootdown",
                 detail: epoch,
                 recovered: false,
@@ -1752,7 +1740,7 @@ impl Pcu {
             .saturating_add(discarded.min(u64::from(u16::MAX)) as u16);
         self.ev.shootdown_epoch = epoch;
         let hart = self.hart as u64;
-        self.trace.emit(|| TraceEvent::ShootdownAck {
+        self.obs.emit(|| TraceEvent::ShootdownAck {
             hart,
             epoch,
             discarded,
@@ -1792,7 +1780,7 @@ impl Extension for Pcu {
         if self.poisoned && cpu.priv_level != Priv::M {
             self.fstats.denied += 1;
             self.note_fault_event();
-            self.trace.emit(|| TraceEvent::IntegrityEvent {
+            self.obs.emit(|| TraceEvent::IntegrityEvent {
                 scope: "snapshot",
                 detail: 0,
                 recovered: false,
@@ -1823,13 +1811,13 @@ impl Extension for Pcu {
         let cacheable = self.cfg.legal_cache > 0 && !d.kind.is_csr_access();
         if cacheable {
             let hit = self.legal_cache.lookup(legal_tag).is_some();
-            self.trace.emit(|| TraceEvent::Cache {
+            self.obs.emit(|| TraceEvent::Cache {
                 cache: CacheKind::Legal,
                 hit,
             });
             if hit {
                 self.stats.legal_hits += 1;
-                self.trace.emit(|| TraceEvent::Check {
+                self.obs.emit(|| TraceEvent::Check {
                     kind: CheckKind::Inst,
                     allowed: true,
                     domain,
@@ -1843,7 +1831,7 @@ impl Extension for Pcu {
             Err(e) => return Err(self.integrity_deny(cpu, d.raw, e)),
         };
         let allowed = words[idx / 64] >> (idx % 64) & 1 != 0;
-        self.trace.emit(|| TraceEvent::Check {
+        self.obs.emit(|| TraceEvent::Check {
             kind: CheckKind::Inst,
             allowed,
             domain,
@@ -1903,7 +1891,7 @@ impl Extension for Pcu {
                 None => allowed = w_bit,
             }
         }
-        self.trace.emit(|| TraceEvent::Check {
+        self.obs.emit(|| TraceEvent::Check {
             kind: CheckKind::Csr,
             allowed,
             domain: domain as u16,
@@ -1941,8 +1929,8 @@ impl Extension for Pcu {
         let (b, l) = (self.regs.tmemb, self.regs.tmeml);
         if l > b && paddr + len as u64 > b && paddr < l {
             self.stats.tmem_denials += 1;
-            self.trace.emit(|| TraceEvent::TmemFence { paddr, write });
-            self.trace.emit(|| TraceEvent::Check {
+            self.obs.emit(|| TraceEvent::TmemFence { paddr, write });
+            self.obs.emit(|| TraceEvent::Check {
                 kind: CheckKind::Phys,
                 allowed: false,
                 domain: self.regs.domain as u16,
@@ -2067,10 +2055,10 @@ impl Extension for Pcu {
         // no armed fault schedule (its clock is the commit counter, but
         // injections poll the bus), no poisoned register file (denies
         // outside M-mode), no pending or deferred shootdown (must flush
-        // before the next commit), no trace sink (emits per check).
+        // before the next commit). With the event ring or the profile on
+        // the machine never asks (its `jit_run` returns first).
         if self.faults.is_some()
             || self.poisoned
-            || self.trace.is_enabled()
             || self.shoot_defer > 0
             || self.shoot_defer_polls > 0
         {
@@ -2120,11 +2108,14 @@ impl Extension for Pcu {
         // Replays exactly what `check_inst` moves on the path the
         // block's guard hoisted: the commit clock always, the check
         // tallies only under an active regime. (`ev.checks` is not
-        // replayed: it is drained per step, observed only by the
-        // profiler and tracer, and both disqualify JIT dispatch.)
+        // replayed: it is drained per step and observed only by the
+        // profile, which disqualifies JIT dispatch.)
         self.commits += 1;
         if checked {
             self.stats.inst_checks += 1;
         }
+    }
+    fn set_obs(&mut self, obs: Obs) {
+        self.obs = obs;
     }
 }

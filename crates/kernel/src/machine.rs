@@ -141,7 +141,7 @@ impl SimBuilder {
     }
 
     /// Record structured trace events into a bounded ring of `cap`
-    /// entries. The machine and the PCU share one sink, so retire,
+    /// entries. The machine and the PCU share one spine, so retire,
     /// check, cache and gate events interleave in commit order.
     pub fn trace_events(mut self, cap: usize) -> SimBuilder {
         self.trace_events = Some(cap);
@@ -194,14 +194,14 @@ impl SimBuilder {
         m.set_bbcache(self.bbcache);
         m.set_jit(self.jit);
         m.timer_every = self.timer_every;
+        let mut spine = isa_obs::Spine::new();
         if let Some(cap) = self.trace_events {
-            let sink = isa_obs::TraceSink::ring(cap);
-            m.set_tracer(sink.clone());
-            m.ext.set_tracer(sink);
+            spine = spine.with_ring(cap);
         }
         if self.profile {
-            m.set_profiler(isa_obs::ProfSink::enabled(0));
+            spine = spine.with_profile(0);
         }
+        m.set_obs(isa_obs::Obs::new(spine));
         if let Some(t) = self.platform.timing() {
             m = m.with_timing(Box::new(PipelineModel::new(t)));
         }
@@ -600,13 +600,13 @@ impl Sim {
     /// The trace events recorded so far (empty unless the builder
     /// enabled [`SimBuilder::trace_events`]).
     pub fn trace_events(&self) -> Vec<isa_obs::TimedEvent> {
-        self.machine.trace.snapshot()
+        self.machine.obs.events()
     }
 
     /// Drain the machine's profile, closing any open span. `None`
     /// unless the builder enabled [`SimBuilder::profile`].
     pub fn take_profile(&mut self) -> Option<isa_obs::Profile> {
-        self.machine.prof.take()
+        self.machine.obs.take_profile()
     }
 
     /// The PCU's audit log of denied checks.

@@ -257,6 +257,12 @@ impl SmpSession {
         self.host_secs
     }
 
+    /// Count `secs` of stepping done by a session this one replaces
+    /// (a self-healing restore), so host rates span the whole run.
+    pub fn add_host_secs(&mut self, secs: f64) {
+        self.host_secs += secs;
+    }
+
     /// Whether hart `h` has halted (and with what code).
     pub fn halted(&self, h: usize) -> Option<u64> {
         self.smp.machine(h).bus.halted()
@@ -273,12 +279,12 @@ impl SmpSession {
             .read_raw(isa_sim::csr::addr::CYCLE)
     }
 
-    /// Install one enabled request tracer per hart and return the
-    /// handles, in hart order. The driver tags each handle with the
-    /// request in flight and drains it at round boundaries; tracers
-    /// are observe-only (they never change modeled cycles, the
-    /// interleaver, or digests).
-    pub fn install_req_tracers(&mut self) -> Vec<isa_obs::ReqTracer> {
+    /// Switch on a request buffer in every hart's observability spine
+    /// and return the handles, in hart order. The driver tags each
+    /// handle with the request in flight and drains it at round
+    /// boundaries; request tracing is observe-only (it never changes
+    /// modeled cycles, the interleaver, or digests).
+    pub fn install_req_tracers(&mut self) -> Vec<isa_obs::Obs> {
         self.smp.install_req_tracers()
     }
 
@@ -341,7 +347,7 @@ impl SmpSession {
             cycles,
             steps: m.steps,
             audit: m.ext.take_audit(),
-            profile: m.prof.take(),
+            profile: m.obs.take_profile(),
             host_secs,
             counters,
         }

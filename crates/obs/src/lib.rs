@@ -5,12 +5,16 @@
 //! hits, gate switches, cycle attribution. This crate is the single
 //! substrate those counts flow through:
 //!
+//! * [`Obs`] — the one observability handle. The machine and its PCU
+//!   extension hold clones of it; it points at a [`Spine`] whose
+//!   consumers (an event ring, a [`Profile`], a request buffer) are
+//!   switched on when the spine is built. The machine passes one
+//!   [`Commit`] record per step, the PCU and the host emit events, and
+//!   every consumer sees them in commit order. The default handle is
+//!   off and costs one branch per step.
 //! * [`TraceEvent`] — a structured event taxonomy (retire, check
 //!   verdict, cache hit/miss/flush, gate call/return, domain switch,
 //!   trap, trusted-memory fence) recorded into a bounded [`EventRing`].
-//! * [`Tracer`] — the recording trait; [`NullTracer`] is the zero-cost
-//!   disabled form and [`TraceSink`] the cheaply-cloneable shared handle
-//!   the simulator and the PCU both emit into.
 //! * [`Counters`] — one snapshot struct subsuming the cache / check /
 //!   gate / timing / run tallies that previously lived in four ad-hoc
 //!   types; [`Counters::entries`] flattens it into a registry of
@@ -19,11 +23,16 @@
 //!   parser, for reading saved profiles back) so run reports and bench
 //!   tables can be emitted machine-readable (the environment cannot
 //!   fetch serde, so this is hand-rolled).
-//! * [`Profile`] / [`ProfSink`] — the profiling layer: log-bucketed
-//!   [`Histogram`]s, [`Span`] timelines, a [`TimeSeries`] recorder, and
-//!   per-hart cycle attribution by (domain, privilege level), plus the
-//!   [`AuditLog`] of denied checks the PCU keeps and the
-//!   [`ProfileReport`] Perfetto `trace_event` exporter.
+//! * [`Profile`] — the profiling layer: log-bucketed [`Histogram`]s,
+//!   [`Span`] timelines, a [`TimeSeries`] recorder, and per-hart cycle
+//!   attribution by (domain, privilege level), plus the [`AuditLog`] of
+//!   denied checks the PCU keeps (always on, outside the spine: it is a
+//!   snapshotted security record, not telemetry).
+//! * [`TraceCollector`] — request span trees assembled from the harts'
+//!   request buffers, with tail sampling and latency exemplars.
+//! * [`ProfileReport`] / [`TraceReport`] — Perfetto `trace_event`
+//!   export of profiles and request trees through one set of event
+//!   builders.
 
 #![warn(missing_docs)]
 
@@ -33,6 +42,7 @@ mod json;
 mod perfetto;
 mod prof;
 mod ring;
+mod spine;
 mod trace;
 
 pub use counters::{
@@ -43,11 +53,12 @@ pub use event::{CacheKind, CheckKind, TimedEvent, TraceEvent};
 pub use json::{Json, ToJson};
 pub use perfetto::{ProfileReport, RunProfile, TraceReport};
 pub use prof::{
-    AuditKind, AuditLog, AuditRecord, DomainCycles, Histogram, OpClass, ProfSink, Profile, Span,
-    SpanKind, StepClass, StepSample, TimeSeries, AUDIT_CAP,
+    AuditKind, AuditLog, AuditRecord, DomainCycles, Histogram, OpClass, Profile, Span, SpanKind,
+    StepClass, TimeSeries, AUDIT_CAP,
 };
-pub use ring::{EventRing, NullTracer, RingTracer, TraceSink, Tracer};
+pub use ring::EventRing;
+pub use spine::{Commit, Obs, Spine};
 pub use trace::{
-    DeoptReason, Exemplars, HartEvent, ReqEvent, ReqTrace, ReqTracer, Segment, TelemetryStats,
-    TraceCollector, TraceId, TraceMode, TracePolicy,
+    DeoptReason, Exemplars, HartEvent, ReqEvent, ReqTrace, Segment, TelemetryStats, TraceCollector,
+    TraceId, TraceMode, TracePolicy,
 };

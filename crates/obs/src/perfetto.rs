@@ -16,9 +16,8 @@
 //!   percentiles from raw events.
 
 use crate::json::{Json, ToJson};
-use crate::prof::{op_classes_json, AuditRecord, DomainCycles, Profile, Span, SpanKind};
+use crate::prof::{domains_json, op_classes_json, AuditRecord, Profile, Span, SpanKind};
 use crate::trace::{ReqEvent, TraceCollector};
-use std::collections::BTreeMap;
 
 /// One profiled run: a name, the per-hart profiles, and the audit log.
 #[derive(Debug, Clone, Default)]
@@ -48,34 +47,31 @@ fn span_name(s: &Span) -> String {
     }
 }
 
-/// A `"ph":"M"` metadata event naming a process or thread.
-fn metadata(pid: u64, tid: Option<u64>, what: &str, name: &str) -> Json {
+/// One trace event: `ph`, `pid`, the `tid` of a thread-scoped event,
+/// then `fields` in order. Both exporters build every event here.
+fn event(ph: &str, pid: u64, tid: Option<u64>, fields: Vec<(&str, Json)>) -> Json {
     let mut pairs = vec![
-        ("ph".to_string(), Json::Str("M".into())),
+        ("ph".to_string(), Json::Str(ph.into())),
         ("pid".to_string(), Json::U64(pid)),
     ];
     if let Some(t) = tid {
         pairs.push(("tid".to_string(), Json::U64(t)));
     }
-    pairs.push(("name".to_string(), Json::Str(what.into())));
-    pairs.push((
-        "args".to_string(),
-        Json::obj([("name", Json::Str(name.into()))]),
-    ));
+    pairs.extend(fields.into_iter().map(|(k, v)| (k.to_string(), v)));
     Json::Obj(pairs)
 }
 
-/// A `"ph":"X"` complete event for one span.
-fn complete(pid: u64, tid: u64, s: &Span) -> Json {
-    Json::obj([
-        ("ph", Json::Str("X".into())),
-        ("pid", Json::U64(pid)),
-        ("tid", Json::U64(tid)),
-        ("ts", Json::U64(s.start)),
-        ("dur", Json::U64(s.cycles().max(1))),
-        ("name", Json::Str(span_name(s))),
-        ("cat", Json::Str(s.kind.name().into())),
-    ])
+/// A `"ph":"M"` metadata event naming a process or thread.
+fn metadata(pid: u64, tid: Option<u64>, what: &str, name: &str) -> Json {
+    event(
+        "M",
+        pid,
+        tid,
+        vec![
+            ("name", Json::Str(what.into())),
+            ("args", Json::obj([("name", Json::Str(name.into()))])),
+        ],
+    )
 }
 
 impl ProfileReport {
@@ -99,7 +95,17 @@ impl ProfileReport {
                     &format!("hart {}", p.hart),
                 ));
                 for s in p.spans() {
-                    events.push(complete(pid, tid, s));
+                    events.push(event(
+                        "X",
+                        pid,
+                        Some(tid),
+                        vec![
+                            ("ts", Json::U64(s.start)),
+                            ("dur", Json::U64(s.cycles().max(1))),
+                            ("name", Json::Str(span_name(s))),
+                            ("cat", Json::Str(s.kind.name().into())),
+                        ],
+                    ));
                 }
             }
         }
@@ -165,40 +171,36 @@ impl ProfileReport {
     }
 }
 
-/// One common field set for a trace event on a track.
-fn event_base(ph: &str, tid: u64, ts: u64, name: String, cat: &str) -> Vec<(String, Json)> {
-    vec![
-        ("ph".to_string(), Json::Str(ph.into())),
-        ("pid".to_string(), Json::U64(1)),
-        ("tid".to_string(), Json::U64(tid)),
-        ("ts".to_string(), Json::U64(ts)),
-        ("name".to_string(), Json::Str(name)),
-        ("cat".to_string(), Json::Str(cat.into())),
-    ]
+/// A `"ph":"X"` slice on track `tid` of the request trace.
+fn slice(tid: u64, ts: u64, dur: u64, name: String, cat: &str, args: Json) -> Json {
+    event(
+        "X",
+        1,
+        Some(tid),
+        vec![
+            ("ts", Json::U64(ts)),
+            ("name", Json::Str(name)),
+            ("cat", Json::Str(cat.into())),
+            ("dur", Json::U64(dur.max(1))),
+            ("args", args),
+        ],
+    )
 }
 
-/// A flow-start (`"ph":"s"`) event. Perfetto matches flow endpoints on
-/// `(cat, id, name)`, so starts and finishes must agree on all three.
-fn flow_start(tid: u64, ts: u64, name: &str, cat: &str, id: u64) -> Json {
-    let mut pairs = event_base("s", tid, ts, name.to_string(), cat);
-    pairs.push(("id".to_string(), Json::U64(id)));
-    Json::Obj(pairs)
-}
-
-/// A flow-finish (`"ph":"f"`, binding to the enclosing slice) event.
-fn flow_finish(tid: u64, ts: u64, name: &str, cat: &str, id: u64) -> Json {
-    let mut pairs = event_base("f", tid, ts, name.to_string(), cat);
-    pairs.push(("bp".to_string(), Json::Str("e".into())));
-    pairs.push(("id".to_string(), Json::U64(id)));
-    Json::Obj(pairs)
-}
-
-/// A complete (`"ph":"X"`) event with explicit fields and args.
-fn complete_at(tid: u64, ts: u64, dur: u64, name: String, cat: &str, args: Json) -> Json {
-    let mut pairs = event_base("X", tid, ts, name, cat);
-    pairs.push(("dur".to_string(), Json::U64(dur.max(1))));
-    pairs.push(("args".to_string(), args));
-    Json::Obj(pairs)
+/// A flow endpoint on track `tid`: `"s"` starts a flow, `"f"` finishes
+/// it, binding to the enclosing slice. Perfetto matches endpoints on
+/// `(cat, id, name)`, so both ends must agree on all three.
+fn flow(ph: &str, tid: u64, ts: u64, name: &str, cat: &str, id: u64) -> Json {
+    let mut fields = vec![
+        ("ts", Json::U64(ts)),
+        ("name", Json::Str(name.into())),
+        ("cat", Json::Str(cat.into())),
+    ];
+    if ph == "f" {
+        fields.push(("bp", Json::Str("e".into())));
+    }
+    fields.push(("id", Json::U64(id)));
+    event(ph, 1, Some(tid), fields)
 }
 
 /// Renders a [`TraceCollector`]'s kept request trees as one Perfetto
@@ -245,9 +247,9 @@ impl TraceReport<'_> {
         }
         for tr in c.kept() {
             let tid = tr.hart as u64 + 1;
-            events.push(flow_start(0, tr.arrival, "dispatch", "req", tr.id));
-            events.push(flow_finish(tid, tr.start, "dispatch", "req", tr.id));
-            events.push(complete_at(
+            events.push(flow("s", 0, tr.arrival, "dispatch", "req", tr.id));
+            events.push(flow("f", tid, tr.start, "dispatch", "req", tr.id));
+            events.push(slice(
                 tid,
                 tr.start,
                 tr.end.saturating_sub(tr.start),
@@ -262,7 +264,7 @@ impl TraceReport<'_> {
                 ]),
             ));
             for seg in tr.segments() {
-                events.push(complete_at(
+                events.push(slice(
                     tid,
                     seg.start,
                     seg.cycles(),
@@ -280,7 +282,7 @@ impl TraceReport<'_> {
                     }
                     ReqEvent::Deopt { reason } => ("deopt", reason.index() as u64, 0),
                 };
-                events.push(complete_at(
+                events.push(slice(
                     tid,
                     *t,
                     1,
@@ -295,20 +297,21 @@ impl TraceReport<'_> {
             }
         }
         for (epoch, t) in c.publishes() {
-            events.push(flow_start(0, *t, "publish", "shootdown", *epoch));
+            events.push(flow("s", 0, *t, "publish", "shootdown", *epoch));
         }
         for (epoch, hart, t) in c.acks() {
             // An ack needs a published start to bind to; rotations
             // always publish before harts ack, so unmatched acks only
             // appear when the publish list overflowed its bound.
-            events.push(flow_finish(
+            events.push(flow(
+                "f",
                 *hart as u64 + 1,
                 *t,
                 "publish",
                 "shootdown",
                 *epoch,
             ));
-            events.push(complete_at(
+            events.push(slice(
                 *hart as u64 + 1,
                 *t,
                 1,
@@ -346,37 +349,21 @@ impl TraceReport<'_> {
     }
 }
 
-/// Serialize `(domain, priv) → cycles` attribution as a JSON array.
-fn domains_json(domains: &BTreeMap<(u16, u8), DomainCycles>) -> Json {
-    Json::Arr(
-        domains
-            .iter()
-            .map(|((d, p), v)| {
-                Json::obj([
-                    ("domain", Json::U64(*d as u64)),
-                    ("priv", Json::U64(*p as u64)),
-                    ("cycles", Json::U64(v.cycles)),
-                    ("steps", Json::U64(v.steps)),
-                ])
-            })
-            .collect(),
-    )
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::prof::{StepClass, StepSample};
+    use crate::prof::StepClass;
+    use crate::spine::Commit;
 
     fn profiled_run() -> RunProfile {
         let mut p = Profile::new(0);
-        p.record_step(StepSample {
+        p.record_step(&Commit {
             domain: 0,
             priv_level: 1,
             cycles: 7,
-            class: StepClass::default(),
+            ..Commit::default()
         });
-        p.record_step(StepSample {
+        p.record_step(&Commit {
             domain: 2,
             priv_level: 0,
             cycles: 12,
@@ -385,6 +372,7 @@ mod tests {
                 checks: 1,
                 ..StepClass::default()
             },
+            ..Commit::default()
         });
         p.finish();
         RunProfile {
@@ -407,9 +395,8 @@ mod tests {
         assert!(s.contains("\"isaGrid\""));
     }
 
-    #[test]
-    fn trace_report_emits_cross_track_flow_events() {
-        use crate::trace::{TraceCollector, TraceMode, TracePolicy};
+    fn traced_collector() -> TraceCollector {
+        use crate::trace::{TraceMode, TracePolicy};
         let mut c = TraceCollector::new(TracePolicy {
             mode: TraceMode::Full,
             ..TracePolicy::default()
@@ -428,12 +415,21 @@ mod tests {
             },
         );
         c.finish(9, 200, 100, 60, false);
-        let doc = TraceReport {
+        c
+    }
+
+    fn trace_doc(c: &TraceCollector) -> Json {
+        TraceReport {
             name: "unit/trace",
             harts: 4,
-            collector: &c,
+            collector: c,
         }
-        .to_json();
+        .to_json()
+    }
+
+    #[test]
+    fn trace_report_emits_cross_track_flow_events() {
+        let doc = trace_doc(&traced_collector());
         let s = doc.to_string();
         // Request flow: start on the host track, finish on hart 3.
         assert!(s.contains("\"ph\":\"s\""));
@@ -455,5 +451,17 @@ mod tests {
         let s = j.to_string();
         // 2 runs × 19 cycles each.
         assert!(s.contains("\"totals\":{\"cycles\":38"));
+    }
+
+    /// Both fixtures' documents, byte for byte, as the exporters wrote
+    /// them before they shared one set of event builders.
+    const PROFILE_GOLDEN: &str = r#"{"traceEvents":[{"ph":"M","pid":1,"name":"process_name","args":{"name":"unit/run"}},{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"hart 0"}},{"ph":"X","pid":1,"tid":0,"ts":0,"dur":7,"name":"domain 0","cat":"domain"},{"ph":"X","pid":1,"tid":0,"ts":7,"dur":12,"name":"gate→2","cat":"gate"},{"ph":"X","pid":1,"tid":0,"ts":7,"dur":12,"name":"domain 2","cat":"domain"}],"displayTimeUnit":"ms","isaGrid":{"runs":[{"name":"unit/run","harts":[{"hart":0,"cycles":19,"steps":2,"faults":0,"domains":[{"domain":0,"priv":1,"cycles":7,"steps":1},{"domain":2,"priv":0,"cycles":12,"steps":1}],"op_classes":[{"class":"alu","cycles":19,"steps":2}],"histograms":{"gate_switch":{"count":1,"sum":12,"max":12,"mean":12,"p50":12,"p90":12,"p99":12,"buckets":[{"le":15,"n":1}]},"check":{"count":1,"sum":12,"max":12,"mean":12,"p50":12,"p90":12,"p99":12,"buckets":[{"le":15,"n":1}]},"grid_miss":{"count":0,"sum":0,"max":0,"mean":0,"p50":0,"p90":0,"p99":0,"buckets":[]},"shootdown":{"count":0,"sum":0,"max":0,"mean":0,"p50":0,"p90":0,"p99":0,"buckets":[]},"fault":{"count":0,"sum":0,"max":0,"mean":0,"p50":0,"p90":0,"p99":0,"buckets":[]}},"series":{"interval":4096,"slices":[19]},"spans_dropped":0}],"audit":[]}],"totals":{"cycles":19,"steps":2,"faults":0,"audit_total":0,"domains":[{"domain":0,"priv":1,"cycles":7,"steps":1},{"domain":2,"priv":0,"cycles":12,"steps":1}],"op_classes":[{"class":"alu","cycles":19,"steps":2}],"histograms":{"gate_switch":{"count":1,"sum":12,"max":12,"mean":12,"p50":12,"p90":12,"p99":12,"buckets":[{"le":15,"n":1}]},"check":{"count":1,"sum":12,"max":12,"mean":12,"p50":12,"p90":12,"p99":12,"buckets":[{"le":15,"n":1}]},"grid_miss":{"count":0,"sum":0,"max":0,"mean":0,"p50":0,"p90":0,"p99":0,"buckets":[]},"shootdown":{"count":0,"sum":0,"max":0,"mean":0,"p50":0,"p90":0,"p99":0,"buckets":[]}}}}}"#;
+    const TRACE_GOLDEN: &str = r#"{"traceEvents":[{"ph":"M","pid":1,"name":"process_name","args":{"name":"unit/trace"}},{"ph":"M","pid":1,"tid":0,"name":"thread_name","args":{"name":"host"}},{"ph":"M","pid":1,"tid":1,"name":"thread_name","args":{"name":"hart 0"}},{"ph":"M","pid":1,"tid":2,"name":"thread_name","args":{"name":"hart 1"}},{"ph":"M","pid":1,"tid":3,"name":"thread_name","args":{"name":"hart 2"}},{"ph":"M","pid":1,"tid":4,"name":"thread_name","args":{"name":"hart 3"}},{"ph":"s","pid":1,"tid":0,"ts":100,"name":"dispatch","cat":"req","id":9},{"ph":"f","pid":1,"tid":4,"ts":120,"name":"dispatch","cat":"req","bp":"e","id":9},{"ph":"X","pid":1,"tid":4,"ts":120,"name":"req 9","cat":"req","dur":80,"args":{"tenant":2,"kind":1,"arrival":100,"latency":100,"denied":false}},{"ph":"X","pid":1,"tid":4,"ts":130,"name":"domain 4","cat":"req_domain","dur":20,"args":{"trace_id":9}},{"ph":"X","pid":1,"tid":4,"ts":150,"name":"domain 0","cat":"req_domain","dur":50,"args":{"trace_id":9}},{"ph":"s","pid":1,"tid":0,"ts":140,"name":"publish","cat":"shootdown","id":5},{"ph":"f","pid":1,"tid":4,"ts":145,"name":"publish","cat":"shootdown","bp":"e","id":5},{"ph":"X","pid":1,"tid":4,"ts":145,"name":"ack e5","cat":"shootdown","dur":1,"args":{"epoch":5}}],"displayTimeUnit":"ms","isaGridTrace":{"name":"unit/trace","harts":4,"mode":"full","telemetry":{"requests":1,"events_emitted":0,"events_dropped":0,"events_harvested":3,"kept":1,"discarded":0,"kept_full":1,"kept_slow":0,"kept_denied":0,"kept_survey":0,"kept_exemplar":1,"trees_dropped":0},"latency_exemplars":[{"le":127,"trace_ids":[9]}],"service_exemplars":[{"le":63,"trace_ids":[9]}],"kept":[{"id":9,"tenant":2,"kind":1,"hart":3,"arrival":100,"start":120,"end":200,"latency":100,"denied":false,"events":2}]}}"#;
+
+    #[test]
+    fn exports_match_the_golden_documents() {
+        let profile = ProfileReport::new(vec![profiled_run()]).to_json();
+        assert_eq!(profile.to_string(), PROFILE_GOLDEN);
+        assert_eq!(trace_doc(&traced_collector()).to_string(), TRACE_GOLDEN);
     }
 }

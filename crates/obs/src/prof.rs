@@ -2,18 +2,15 @@
 //! interval-sliced time series, per-hart profiles, and the structured
 //! audit record the PCU emits on every denied check.
 //!
-//! The design mirrors the trace layer: a [`ProfSink`] is a cheaply
-//! cloneable handle to a shared [`Profile`] — or to nothing. The
-//! disabled sink costs one `Option` discriminant branch per retired
-//! instruction and never constructs the sample, so profiling adds zero
-//! modeled cycles and (when off) near-zero host time. Sinks observe the
-//! machine; they never perturb it.
+//! A [`Profile`] is one consumer of a hart's [`Obs`](crate::Obs)
+//! spine: it sees every step's [`Commit`] record, so profiling adds
+//! zero modeled cycles and, when off, costs nothing beyond the spine's
+//! one branch.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use crate::json::{Json, ToJson};
+use crate::spine::Commit;
 
 /// Number of log₂ buckets: bucket 0 holds the value 0, bucket `i ≥ 1`
 /// holds values in `[2^(i-1), 2^i - 1]`, and bucket 64 holds values
@@ -463,19 +460,6 @@ pub struct StepClass {
     pub trapped: bool,
 }
 
-/// One retired instruction's profiling sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct StepSample {
-    /// ISA domain the hart is in after the step.
-    pub domain: u16,
-    /// Privilege level the step committed at (0=U, 1=S, 3=M).
-    pub priv_level: u8,
-    /// Modeled cycles charged by the timing model for the step.
-    pub cycles: u64,
-    /// Event classification for histogram attribution.
-    pub class: StepClass,
-}
-
 /// Cycle/step tallies for one (domain, privilege) attribution key.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct DomainCycles {
@@ -571,8 +555,8 @@ impl Profile {
         }
     }
 
-    /// Record one retired instruction.
-    pub fn record_step(&mut self, s: StepSample) {
+    /// Record one committed step.
+    pub fn record_step(&mut self, s: &Commit) {
         let t0 = self.cycles;
         match self.cur_domain {
             None => {
@@ -697,7 +681,7 @@ pub(crate) fn op_classes_json(op_classes: &[DomainCycles; OpClass::COUNT]) -> Js
 }
 
 /// Serialize the attribution keys as an array of objects.
-fn domains_json(domains: &BTreeMap<(u16, u8), DomainCycles>) -> Json {
+pub(crate) fn domains_json(domains: &BTreeMap<(u16, u8), DomainCycles>) -> Json {
     Json::Arr(
         domains
             .iter()
@@ -737,61 +721,6 @@ impl ToJson for Profile {
             ("series", self.series.to_json()),
             ("spans_dropped", Json::U64(self.spans_dropped)),
         ])
-    }
-}
-
-/// Cheaply-cloneable handle to a shared [`Profile`] — or to nothing.
-///
-/// Mirrors [`TraceSink`](crate::TraceSink): the disabled sink carries
-/// no profile, `is_enabled()` is one `Option` discriminant test, and
-/// [`ProfSink::record`] never constructs the sample when disabled.
-#[derive(Debug, Clone, Default)]
-pub struct ProfSink(Option<Rc<RefCell<Profile>>>);
-
-impl ProfSink {
-    /// The disabled sink (records nothing, costs one branch).
-    pub fn off() -> Self {
-        ProfSink(None)
-    }
-
-    /// An enabled sink backed by a fresh profile for `hart`.
-    pub fn enabled(hart: usize) -> Self {
-        ProfSink(Some(Rc::new(RefCell::new(Profile::new(hart)))))
-    }
-
-    /// Whether this sink records samples.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Record the sample built by `f`; `f` is not called when disabled.
-    #[inline]
-    pub fn record(&self, f: impl FnOnce() -> StepSample) {
-        if let Some(p) = &self.0 {
-            p.borrow_mut().record_step(f());
-        }
-    }
-
-    /// Take the accumulated profile (closing its open span), leaving a
-    /// fresh one in place. `None` when disabled.
-    pub fn take(&self) -> Option<Profile> {
-        self.0.as_ref().map(|p| {
-            let hart = p.borrow().hart;
-            let mut out = std::mem::replace(&mut *p.borrow_mut(), Profile::new(hart));
-            out.finish();
-            out
-        })
-    }
-
-    /// Clone out the profile so far (with its open span closed).
-    /// `None` when disabled.
-    pub fn snapshot(&self) -> Option<Profile> {
-        self.0.as_ref().map(|p| {
-            let mut out = p.borrow().clone();
-            out.finish();
-            out
-        })
     }
 }
 
@@ -944,6 +873,7 @@ impl ToJson for AuditLog {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spine::{Obs, Spine};
 
     #[test]
     fn histogram_bucket_boundaries() {
@@ -1050,20 +980,21 @@ mod tests {
         assert_eq!(s.slices().iter().sum::<u64>(), 7);
     }
 
-    fn sample(domain: u16, cycles: u64, class: StepClass) -> StepSample {
-        StepSample {
+    fn sample(domain: u16, cycles: u64, class: StepClass) -> Commit {
+        Commit {
             domain,
             priv_level: 1,
             cycles,
             class,
+            ..Commit::default()
         }
     }
 
     #[test]
     fn profile_attributes_cycles_and_derives_spans() {
         let mut p = Profile::new(0);
-        p.record_step(sample(0, 10, StepClass::default()));
-        p.record_step(sample(
+        p.record_step(&sample(0, 10, StepClass::default()));
+        p.record_step(&sample(
             3,
             12,
             StepClass {
@@ -1072,7 +1003,7 @@ mod tests {
                 ..StepClass::default()
             },
         ));
-        p.record_step(sample(3, 5, StepClass::default()));
+        p.record_step(&sample(3, 5, StepClass::default()));
         p.finish();
         assert_eq!(p.cycles(), 27);
         assert_eq!(p.steps(), 3);
@@ -1102,7 +1033,7 @@ mod tests {
     #[test]
     fn profile_finish_is_idempotent() {
         let mut p = Profile::new(0);
-        p.record_step(sample(2, 4, StepClass::default()));
+        p.record_step(&sample(2, 4, StepClass::default()));
         p.finish();
         p.finish();
         assert_eq!(p.spans().len(), 1);
@@ -1112,7 +1043,7 @@ mod tests {
     fn profile_span_cap_counts_drops() {
         let mut p = Profile::new(0).with_span_cap(1);
         for d in 0..4u16 {
-            p.record_step(sample(d, 1, StepClass::default()));
+            p.record_step(&sample(d, 1, StepClass::default()));
         }
         p.finish();
         assert_eq!(p.spans().len(), 1);
@@ -1121,27 +1052,27 @@ mod tests {
 
     #[test]
     fn disabled_sink_never_builds_samples() {
-        let sink = ProfSink::off();
+        let obs = Obs::new(Spine::new());
         let mut built = false;
-        sink.record(|| {
+        obs.commit(false, || {
             built = true;
             sample(0, 1, StepClass::default())
         });
         assert!(!built);
-        assert!(sink.take().is_none());
+        assert!(obs.take_profile().is_none());
     }
 
     #[test]
     fn sink_take_resets_and_closes_span() {
-        let sink = ProfSink::enabled(2);
-        sink.record(|| sample(1, 8, StepClass::default()));
-        let p = sink.take().unwrap();
+        let obs = Obs::new(Spine::new().with_profile(2));
+        obs.commit(false, || sample(1, 8, StepClass::default()));
+        let p = obs.take_profile().unwrap();
         assert_eq!(p.hart, 2);
         assert_eq!(p.cycles(), 8);
         assert_eq!(p.spans().len(), 1);
-        let p2 = sink.take().unwrap();
+        let p2 = obs.take_profile().unwrap();
         assert_eq!(p2.cycles(), 0);
-        assert!(sink.is_enabled());
+        assert!(obs.is_enabled());
     }
 
     #[test]

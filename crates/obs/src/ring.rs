@@ -1,10 +1,7 @@
-//! Bounded event recording: the ring buffer, the `Tracer` trait, and
-//! the cloneable [`TraceSink`] handle shared by the simulator core and
-//! the PCU extension.
+//! Bounded event recording: the ring buffer behind the spine's trace
+//! consumer.
 
-use std::cell::RefCell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use crate::event::{TimedEvent, TraceEvent};
 
@@ -86,165 +83,13 @@ impl EventRing {
     pub fn dropped(&self) -> u64 {
         self.dropped
     }
-
-    /// Discard all retained events (sequence numbers keep advancing).
-    pub fn clear(&mut self) {
-        self.buf.clear();
-    }
-}
-
-/// A recorder of trace events. Implementations decide retention;
-/// emitters must gate event *construction* on [`Tracer::enabled`] so a
-/// disabled tracer costs one branch per potential event.
-pub trait Tracer {
-    /// Whether events should be constructed and recorded at all.
-    fn enabled(&self) -> bool;
-
-    /// Record one event.
-    fn record(&mut self, event: TraceEvent);
-
-    /// Tag subsequent events with a committed-instruction step.
-    fn set_step(&mut self, _step: u64) {}
-}
-
-/// The always-off tracer: `enabled()` is `false` and recording is a
-/// no-op, so tracing disappears from hot paths.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct NullTracer;
-
-impl Tracer for NullTracer {
-    fn enabled(&self) -> bool {
-        false
-    }
-
-    fn record(&mut self, _event: TraceEvent) {}
-}
-
-/// A tracer that owns its ring directly (single-writer use).
-#[derive(Debug)]
-pub struct RingTracer {
-    ring: EventRing,
-}
-
-impl RingTracer {
-    /// A ring-backed tracer retaining at most `cap` events.
-    pub fn new(cap: usize) -> Self {
-        RingTracer {
-            ring: EventRing::new(cap),
-        }
-    }
-
-    /// The underlying ring.
-    pub fn ring(&self) -> &EventRing {
-        &self.ring
-    }
-}
-
-impl Tracer for RingTracer {
-    fn enabled(&self) -> bool {
-        true
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        self.ring.record(event);
-    }
-
-    fn set_step(&mut self, step: u64) {
-        self.ring.set_step(step);
-    }
-}
-
-/// Cheaply-cloneable handle to a shared [`EventRing`] — or to nothing.
-///
-/// The simulator's `Machine` and the PCU extension each hold a clone of
-/// the same sink so their events interleave in one stream in commit
-/// order. The default (disabled) sink carries no ring: `is_enabled()`
-/// is a single `Option` discriminant test and [`TraceSink::emit`] never
-/// even constructs the event, which keeps the disabled cost within the
-/// <5% budget on the privilege-check hot path.
-#[derive(Debug, Clone, Default)]
-pub struct TraceSink(Option<Rc<RefCell<EventRing>>>);
-
-impl TraceSink {
-    /// The disabled sink (records nothing, costs one branch).
-    pub fn off() -> Self {
-        TraceSink(None)
-    }
-
-    /// An enabled sink backed by a fresh ring of `cap` events.
-    pub fn ring(cap: usize) -> Self {
-        TraceSink(Some(Rc::new(RefCell::new(EventRing::new(cap)))))
-    }
-
-    /// Whether this sink records events.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Record the event built by `f`; `f` is not called when disabled.
-    #[inline]
-    pub fn emit(&self, f: impl FnOnce() -> TraceEvent) {
-        if let Some(ring) = &self.0 {
-            ring.borrow_mut().record(f());
-        }
-    }
-
-    /// Tag subsequent events with a committed-instruction step.
-    #[inline]
-    pub fn set_step(&self, step: u64) {
-        if let Some(ring) = &self.0 {
-            ring.borrow_mut().set_step(step);
-        }
-    }
-
-    /// Clone out the retained events, oldest first (empty if disabled).
-    pub fn snapshot(&self) -> Vec<TimedEvent> {
-        self.0
-            .as_ref()
-            .map(|r| r.borrow().snapshot())
-            .unwrap_or_default()
-    }
-
-    /// Events lost to ring overwriting.
-    pub fn dropped(&self) -> u64 {
-        self.0.as_ref().map(|r| r.borrow().dropped()).unwrap_or(0)
-    }
-
-    /// Total events ever recorded through this sink's ring.
-    pub fn total_recorded(&self) -> u64 {
-        self.0
-            .as_ref()
-            .map(|r| r.borrow().total_recorded())
-            .unwrap_or(0)
-    }
-
-    /// Discard retained events, keeping the sink enabled.
-    pub fn clear(&self) {
-        if let Some(ring) = &self.0 {
-            ring.borrow_mut().clear();
-        }
-    }
-}
-
-impl Tracer for TraceSink {
-    fn enabled(&self) -> bool {
-        self.is_enabled()
-    }
-
-    fn record(&mut self, event: TraceEvent) {
-        self.emit(|| event);
-    }
-
-    fn set_step(&mut self, step: u64) {
-        TraceSink::set_step(self, step);
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::CacheKind;
+    use crate::spine::{Obs, Spine};
 
     fn ev(n: u64) -> TraceEvent {
         TraceEvent::Trap {
@@ -283,27 +128,27 @@ mod tests {
 
     #[test]
     fn disabled_sink_never_builds_events() {
-        let sink = TraceSink::off();
+        let obs = Obs::off();
         let mut built = false;
-        sink.emit(|| {
+        obs.emit(|| {
             built = true;
             ev(0)
         });
         assert!(!built);
-        assert!(!sink.is_enabled());
-        assert!(sink.snapshot().is_empty());
+        assert!(!obs.is_enabled());
+        assert!(obs.events().is_empty());
     }
 
     #[test]
     fn cloned_sinks_share_one_ring() {
-        let a = TraceSink::ring(8);
+        let a = Obs::new(Spine::new().with_ring(8));
         let b = a.clone();
         a.emit(|| ev(1));
         b.emit(|| TraceEvent::Cache {
             cache: CacheKind::Sgt,
             hit: true,
         });
-        let evs = a.snapshot();
+        let evs = a.events();
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].seq, 0);
         assert_eq!(evs[1].seq, 1);

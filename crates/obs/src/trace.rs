@@ -3,15 +3,15 @@
 //!
 //! The serve harness assigns each request a [`TraceId`] at arrival and
 //! threads it through dispatch, gate entry/exit, PCU denials, shootdown
-//! publish→ack windows, and JIT deopts. Harts record into a private
-//! [`ReqTracer`] buffer (same shape as [`ProfSink`](crate::ProfSink):
-//! one `Option` branch when disabled, no sharing between harts), and
-//! the driver drains the buffers at round boundaries into a
-//! [`TraceCollector`] that assembles per-request span trees.
+//! publish→ack windows, and JIT deopts. Each hart records into the
+//! request buffer of its own [`Obs`](crate::Obs) spine (no sharing
+//! between harts), and the driver drains the buffers at round
+//! boundaries into a [`TraceCollector`] that assembles per-request
+//! span trees.
 //!
-//! Tracing is observe-only by construction: tracers never feed the
-//! timing model, the interleaver, or the completion digest, so results
-//! are bit-identical with tracing off, sampled, or full.
+//! Tracing is observe-only by construction: request buffers never feed
+//! the timing model, the interleaver, or the completion digest, so
+//! results are bit-identical with tracing off, sampled, or full.
 //!
 //! **Tail-based sampling** ([`TracePolicy`]): a finished tree is kept
 //! when the mode is [`TraceMode::Full`], when the request's end-to-end
@@ -23,9 +23,7 @@
 //! [`Histogram`](crate::Histogram) — so a reported "p99 = X cycles"
 //! resolves to exportable traces from the bucket that answered it.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
-use std::rc::Rc;
 
 use crate::json::{Json, ToJson};
 use crate::prof::{bucket_index, bucket_upper};
@@ -197,88 +195,35 @@ pub struct HartEvent {
 /// counted, never reallocated past.
 const HART_BUF_CAP: usize = 4096;
 
-/// One hart's private event buffer.
+/// One hart's request-event buffer, a consumer of its
+/// [`Spine`](crate::Spine). Harts never share one, so no locks; the
+/// driver drains them at round boundaries.
 #[derive(Debug, Default)]
-struct HartBuf {
-    cur: TraceId,
-    buf: Vec<HartEvent>,
-    emitted: u64,
-    dropped: u64,
+pub(crate) struct HartBuf {
+    pub(crate) cur: TraceId,
+    pub(crate) buf: Vec<HartEvent>,
+    pub(crate) emitted: u64,
+    pub(crate) dropped: u64,
 }
 
-/// Cheaply-cloneable handle to one hart's request-event buffer — or to
-/// nothing. Mirrors [`ProfSink`](crate::ProfSink): the disabled tracer
-/// costs one `Option` discriminant branch and never constructs the
-/// event. Each hart gets its own buffer (no cross-hart sharing, so no
-/// locks); the driver drains them at round boundaries.
-#[derive(Debug, Clone, Default)]
-pub struct ReqTracer(Option<Rc<RefCell<HartBuf>>>);
-
-impl ReqTracer {
-    /// The disabled tracer (records nothing, costs one branch).
-    pub fn off() -> Self {
-        ReqTracer(None)
-    }
-
-    /// An enabled tracer backed by a fresh buffer.
-    pub fn enabled() -> Self {
-        ReqTracer(Some(Rc::new(RefCell::new(HartBuf::default()))))
-    }
-
-    /// Whether this tracer records events.
-    #[inline]
-    pub fn is_enabled(&self) -> bool {
-        self.0.is_some()
-    }
-
-    /// Set the request the hart is currently serving (0 = idle).
-    pub fn set_current(&self, id: TraceId) {
-        if let Some(b) = &self.0 {
-            b.borrow_mut().cur = id;
+impl HartBuf {
+    /// Record `ev` at hart-local cycle `t`, tagged with the current
+    /// request. Events other than shootdown acks are skipped while idle
+    /// (`cur == 0`): there is no request to attribute them to.
+    pub(crate) fn emit(&mut self, t: u64, ev: ReqEvent) {
+        if self.cur == 0 && !matches!(ev, ReqEvent::ShootdownAck { .. }) {
+            return;
         }
-    }
-
-    /// The request the hart is currently serving (0 when idle or when
-    /// the tracer is disabled).
-    pub fn current(&self) -> TraceId {
-        self.0.as_ref().map_or(0, |b| b.borrow().cur)
-    }
-
-    /// Record the event built by `f` at hart-local cycle `t`, tagged
-    /// with the current request. `f` is not called when disabled.
-    /// Events other than shootdown acks are skipped while idle
-    /// (`current == 0`): there is no request to attribute them to.
-    #[inline]
-    pub fn emit(&self, t: u64, f: impl FnOnce() -> ReqEvent) {
-        if let Some(b) = &self.0 {
-            let mut b = b.borrow_mut();
-            let ev = f();
-            if b.cur == 0 && !matches!(ev, ReqEvent::ShootdownAck { .. }) {
-                return;
-            }
-            b.emitted += 1;
-            if b.buf.len() < HART_BUF_CAP {
-                let id = b.cur;
-                b.buf.push(HartEvent { id, t, ev });
-            } else {
-                b.dropped += 1;
-            }
+        self.emitted += 1;
+        if self.buf.len() < HART_BUF_CAP {
+            self.buf.push(HartEvent {
+                id: self.cur,
+                t,
+                ev,
+            });
+        } else {
+            self.dropped += 1;
         }
-    }
-
-    /// Drain the buffered events (oldest first), leaving the buffer
-    /// empty and the current-request tag intact.
-    pub fn drain(&self) -> Vec<HartEvent> {
-        self.0
-            .as_ref()
-            .map_or_else(Vec::new, |b| std::mem::take(&mut b.borrow_mut().buf))
-    }
-
-    /// `(emitted, dropped)` lifetime tallies.
-    pub fn counts(&self) -> (u64, u64) {
-        self.0
-            .as_ref()
-            .map_or((0, 0), |b| (b.borrow().emitted, b.borrow().dropped))
     }
 }
 
@@ -1061,38 +1006,43 @@ impl<'a> Cursor<'a> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::spine::{Obs, Spine};
 
     #[test]
     fn disabled_tracer_never_builds_events() {
-        let t = ReqTracer::off();
+        let t = Obs::off();
         let mut built = false;
-        t.emit(1, || {
+        t.request(1, || {
             built = true;
             ReqEvent::GateEnter { domain: 1 }
         });
         assert!(!built);
-        assert!(t.drain().is_empty());
-        assert_eq!(t.counts(), (0, 0));
+        assert!(t.drain_requests().is_empty());
+        assert_eq!(t.request_counts(), (0, 0));
     }
 
     #[test]
     fn tracer_tags_events_with_current_request() {
-        let t = ReqTracer::enabled();
-        t.emit(5, || ReqEvent::GateEnter { domain: 1 });
+        let t = Obs::new(Spine::new().with_requests());
+        t.request(5, || ReqEvent::GateEnter { domain: 1 });
         t.set_current(7);
-        t.emit(9, || ReqEvent::GateEnter { domain: 2 });
-        t.emit(11, || ReqEvent::ShootdownAck {
+        t.request(9, || ReqEvent::GateEnter { domain: 2 });
+        t.request(11, || ReqEvent::ShootdownAck {
             flushes: 3,
             epoch: 4,
         });
-        let evs = t.drain();
+        let evs = t.drain_requests();
         // The idle gate event is skipped; the ack is kept even idle.
         assert_eq!(evs.len(), 2);
         assert_eq!(evs[0].id, 7);
         assert_eq!(evs[0].t, 9);
-        assert_eq!(t.counts(), (2, 0));
-        assert!(t.drain().is_empty());
-        assert_eq!(t.current(), 7);
+        assert_eq!(t.request_counts(), (2, 0));
+        assert!(t.drain_requests().is_empty());
+        // Draining keeps the current-request tag.
+        t.request(13, || ReqEvent::GateEnter { domain: 3 });
+        let evs = t.drain_requests();
+        assert_eq!(evs.len(), 1);
+        assert_eq!(evs[0].id, 7);
     }
 
     #[test]

@@ -9,7 +9,7 @@
 //! fault plan cursor and audit log).
 //!
 //! What is *not* captured is the machine **recipe**: RAM geometry
-//! choices, `PcuConfig`, domain/gate installation order, trace sinks.
+//! choices, `PcuConfig`, domain/gate installation order, the `Obs` handle.
 //! Restoring means "rebuild the machine the same deterministic way you
 //! built it, then overwrite all mutable state" — every installer write
 //! (tables, seals, CSRs) is re-overwritten by the import, so the result

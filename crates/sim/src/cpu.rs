@@ -267,6 +267,14 @@ pub trait Extension {
     fn jit_commit(&mut self, checked: bool) {
         let _ = checked;
     }
+
+    /// Emit trace events through `obs`, a clone of the machine's handle
+    /// (the off handle unless the event ring is on), so they
+    /// land in the machine's stream in commit order. Extensions that
+    /// emit nothing keep the default no-op.
+    fn set_obs(&mut self, obs: isa_obs::Obs) {
+        let _ = obs;
+    }
 }
 
 /// The no-op extension: a plain RV64 core.
@@ -491,26 +499,15 @@ pub struct Machine<E: Extension> {
     /// diagnosis state, deliberately *not* serialized into snapshots:
     /// a restored machine starts unclassified.
     last_trap_cause: Option<u64>,
-    /// Trace-event sink for the observability layer; disabled by
-    /// default. Share a clone with the extension so its events
-    /// interleave with retire events in commit order.
-    pub trace: isa_obs::TraceSink,
-    /// Profiling sink attributing committed cycles to (hart, privilege
-    /// level, ISA domain) and feeding the latency histograms; disabled
-    /// by default. Like the trace sink, it only observes the step — a
-    /// disabled sink costs one branch and profiling never changes
-    /// modeled cycles.
-    pub prof: isa_obs::ProfSink,
+    /// The observability handle (off by default). Install it with
+    /// [`Machine::set_obs`], which shares it with the extension so PCU
+    /// events and retire events land in one stream in commit order.
+    /// Observe-only: it never changes modeled cycles.
+    pub obs: isa_obs::Obs,
     /// Predecoded basic-block cache; `None` runs the uncached
     /// translate-and-decode path every step (the `--no-bbcache`
     /// escape hatch).
     pub bbcache: Option<Box<crate::bbcache::BbCache>>,
-    /// Request-scoped event tracer (gate entry/exit, denials,
-    /// shootdown acks, JIT deopts), tagged with the trace ID the serve
-    /// driver set; disabled by default. Observe-only like the other
-    /// sinks — and unlike them it does *not* force the per-step path,
-    /// so the JIT stays on under request tracing.
-    pub rtrace: isa_obs::ReqTracer,
     /// Superblock JIT compiled over the bbcache; `None` leaves
     /// [`Machine::run_steps`] on the per-instruction dispatch loop (the
     /// `--no-jit` escape hatch, and always when the bbcache is off).
@@ -547,9 +544,7 @@ impl<E: Extension> Machine<E> {
             timer_phase: 0,
             trap_counts: std::collections::BTreeMap::new(),
             last_trap_cause: None,
-            trace: isa_obs::TraceSink::off(),
-            prof: isa_obs::ProfSink::off(),
-            rtrace: isa_obs::ReqTracer::off(),
+            obs: isa_obs::Obs::off(),
             bbcache: Some(Box::new(crate::bbcache::BbCache::new())),
             jit: Some(Box::new(crate::jit::Jit::new())),
             jit_enabled: true,
@@ -601,20 +596,15 @@ impl<E: Extension> Machine<E> {
         self
     }
 
-    /// Route retire/trap trace events into `sink`.
-    pub fn set_tracer(&mut self, sink: isa_obs::TraceSink) {
-        self.trace = sink;
-    }
-
-    /// Route per-step profiling samples into `sink`.
-    pub fn set_profiler(&mut self, sink: isa_obs::ProfSink) {
-        self.prof = sink;
-    }
-
-    /// Route request-scoped events (gate crossings, denials, shootdown
-    /// acks, JIT deopts) into `tracer`.
-    pub fn set_req_tracer(&mut self, tracer: isa_obs::ReqTracer) {
-        self.rtrace = tracer;
+    /// Observe this machine through `obs`. With the ring or the profile
+    /// on, every step runs on the interpreter; request tracing alone
+    /// keeps the JIT. The extension gets a clone only when the ring is
+    /// on (the off handle otherwise), so its events cost one branch each
+    /// when nothing records them.
+    pub fn set_obs(&mut self, obs: isa_obs::Obs) {
+        obs.sync_step(self.steps);
+        self.ext.set_obs(obs.ring_handle());
+        self.obs = obs;
     }
 
     /// Load a program image into RAM and point the PC at its base.
@@ -697,7 +687,6 @@ impl<E: Extension> Machine<E> {
     /// retired-event record for the step, if an instruction was attempted.
     pub fn step(&mut self) -> Option<Retired> {
         self.steps += 1;
-        self.trace.set_step(self.steps);
         if let Some(n) = self.timer_every {
             self.timer_phase += 1;
             if self.timer_phase >= n {
@@ -709,12 +698,7 @@ impl<E: Extension> Machine<E> {
             self.take_interrupt(irq);
             let cycles = self.timing.interrupt();
             self.cpu.csrs.add_cycles(cycles);
-            self.prof.record(|| isa_obs::StepSample {
-                domain: self.ext.current_domain_id(),
-                priv_level: self.cpu.priv_level as u8,
-                cycles,
-                class: isa_obs::StepClass::default(),
-            });
+            self.obs.commit(false, || self.commit_record(None, cycles));
             return None;
         }
 
@@ -748,76 +732,50 @@ impl<E: Extension> Machine<E> {
             }
         }
         ev.ext = self.ext.drain_events();
-        if self.trace.is_enabled() {
-            if let Some(cause) = ev.trap_cause {
-                self.trace.emit(|| isa_obs::TraceEvent::Trap { cause, pc });
-            }
-            self.trace.emit(|| isa_obs::TraceEvent::Retire {
-                pc,
-                raw: ev.raw,
-                domain: self.ext.current_domain_id(),
-                priv_level: priv_level as u8,
-                trapped: ev.trap_cause.is_some(),
-            });
-        }
         let cycles = self.timing.retire(&ev);
         self.cpu.csrs.add_cycles(cycles);
-        self.prof.record(|| isa_obs::StepSample {
-            domain: self.ext.current_domain_id(),
-            priv_level: priv_level as u8,
-            cycles,
-            class: isa_obs::StepClass {
-                op: ev.kind.map_or(isa_obs::OpClass::System, Kind::op_class),
-                gate_switch: ev.ext.gate_switch,
-                checks: ev.ext.checks as u16,
-                grid_misses: ev.ext.hpt_inst_miss as u16
-                    + ev.ext.hpt_reg_miss as u16
-                    + ev.ext.hpt_mask_miss as u16
-                    + ev.ext.sgt_miss as u16,
-                shootdown_flushed: ev.ext.shootdown_flushed,
-                fault_events: ev.ext.fault_events,
-                trapped: ev.trap_cause.is_some(),
-            },
-        });
-        if self.rtrace.is_enabled()
-            && (ev.ext.gate_switch || ev.ext.denied || ev.ext.shootdown_flushed > 0)
-        {
-            self.rtrace_step(&ev);
-        }
+        let x = &ev.ext;
+        let notable = isa_obs::Commit::notable(x.gate_switch, x.denied, x.shootdown_flushed);
+        self.obs
+            .commit(notable, || self.commit_record(Some(&ev), cycles));
         Some(ev)
     }
 
-    /// Request-tracer hook, run once per interpreted step when a tracer
-    /// is installed. Gate instructions are serializing and never
-    /// compile into superblocks, so every gate crossing passes through
-    /// here even with the JIT on; denials and shootdowns taken inside a
-    /// block surface on the first interpreted step after the deopt
-    /// (their `ExtEvents` flags stay pending until drained).
-    fn rtrace_step(&mut self, ev: &Retired) {
-        let t = self.cpu.csrs.read_raw(addr::CYCLE);
-        if ev.ext.gate_switch {
-            let domain = self.ext.current_domain_id();
-            let exit = ev.kind == Some(Kind::Hcrets);
-            self.rtrace.emit(t, || {
-                if exit {
-                    isa_obs::ReqEvent::GateExit { domain }
-                } else {
-                    isa_obs::ReqEvent::GateEnter { domain }
-                }
-            });
+    /// The step's record for the observability spine; `ev` is `None`
+    /// for an interrupt step.
+    fn commit_record(&self, ev: Option<&Retired>, cycles: u64) -> isa_obs::Commit {
+        let mut c = isa_obs::Commit {
+            step: self.steps,
+            domain: self.ext.current_domain_id(),
+            priv_level: self.cpu.priv_level as u8,
+            cycles,
+            clock: self.cpu.csrs.read_raw(addr::CYCLE),
+            ..isa_obs::Commit::default()
+        };
+        if let Some(ev) = ev {
+            let x = &ev.ext;
+            c.pc = ev.pc;
+            c.raw = ev.raw;
+            c.priv_level = ev.priv_level as u8;
+            c.retired = true;
+            c.trap = ev.trap_cause;
+            c.class = isa_obs::StepClass {
+                op: ev.kind.map_or(isa_obs::OpClass::System, Kind::op_class),
+                gate_switch: x.gate_switch,
+                checks: x.checks as u16,
+                grid_misses: x.hpt_inst_miss as u16
+                    + x.hpt_reg_miss as u16
+                    + x.hpt_mask_miss as u16
+                    + x.sgt_miss as u16,
+                shootdown_flushed: x.shootdown_flushed,
+                fault_events: x.fault_events,
+                trapped: ev.trap_cause.is_some(),
+            };
+            c.gate_exit = ev.kind == Some(Kind::Hcrets);
+            c.deny = x.denied.then_some((x.deny_cause, x.deny_detail));
+            c.shootdown_epoch = x.shootdown_epoch;
         }
-        if ev.ext.denied {
-            self.rtrace.emit(t, || isa_obs::ReqEvent::Deny {
-                cause: ev.ext.deny_cause,
-                detail: ev.ext.deny_detail,
-            });
-        }
-        if ev.ext.shootdown_flushed > 0 {
-            self.rtrace.emit(t, || isa_obs::ReqEvent::ShootdownAck {
-                flushes: ev.ext.shootdown_flushed,
-                epoch: ev.ext.shootdown_epoch,
-            });
-        }
+        c
     }
 
     fn fetch_and_execute(&mut self, ev: &mut Retired) -> Result<u64, Exception> {

@@ -23,7 +23,7 @@
 //!
 //! The PCU only vends an *active* guard when its fast path is pure —
 //! bypass register valid, no legal-instruction cache, no pending
-//! shootdown, no fault plan, not poisoned, trace off — so skipping the
+//! shootdown, no fault plan, not poisoned, no event ring — so skipping the
 //! per-instruction [`crate::Extension::check_inst`] call changes no
 //! architectural or exported state. The per-op bookkeeping that remains
 //! (commit count, check tally) is replayed through
@@ -545,9 +545,9 @@ impl<E: Extension> Machine<E> {
     /// and stop strictly before `fuel` runs out or anything needs the
     /// interpreter. Returns the steps consumed.
     fn jit_run(&mut self, fuel: u64) -> u64 {
-        // Observability sinks want per-step events; leave the whole
-        // fast path to them.
-        if self.trace.is_enabled() || self.prof.is_enabled() {
+        // The event ring and the profile want every step; leave the
+        // whole fast path to them.
+        if self.obs.per_step() {
             return 0;
         }
         // Never enter a block while an interrupt is deliverable (the
@@ -663,9 +663,9 @@ impl<E: Extension> Machine<E> {
                 let reason = exit.reason.unwrap_or(DeoptReason::Trap);
                 jit.stats.deopts += 1;
                 jit.stats.note(reason);
-                if self.rtrace.is_enabled() {
+                if self.obs.is_enabled() {
                     let t = self.cpu.csrs.read_raw(crate::csr::addr::CYCLE);
-                    self.rtrace.emit(t, || isa_obs::ReqEvent::Deopt { reason });
+                    self.obs.request(t, || isa_obs::ReqEvent::Deopt { reason });
                 }
                 break;
             }

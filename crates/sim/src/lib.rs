@@ -57,8 +57,8 @@ pub use cpu::{
 };
 pub use decode::{decode, Decoded, Kind};
 pub use disas::disassemble;
-/// The observability layer (re-exported so machine users can build
-/// [`isa_obs::TraceSink`]s without naming the crate separately).
+/// The observability layer (re-exported so machine users can build an
+/// [`isa_obs::Obs`] without naming the crate separately).
 pub use isa_obs as obs;
 pub use jit::{Jit, JitGuard, JitStats};
 pub use mem::{

@@ -74,7 +74,7 @@ pub struct HartResult {
     /// The hart's PCU counter snapshot.
     pub counters: Counters,
     /// The hart's cycle-attribution profile, when the `make` closure
-    /// attached an enabled [`isa_obs::ProfSink`] to the machine.
+    /// observed the machine through a spine with the profile on.
     pub profile: Option<isa_obs::Profile>,
 }
 
@@ -292,30 +292,33 @@ impl Smp {
             .collect())
     }
 
-    /// Install one enabled request tracer per hart and return the
-    /// handles, in hart order. Tracers are per-hart buffers with no
-    /// cross-hart sharing (the deterministic interleaver drains them at
-    /// round boundaries), so they add no synchronization to the bus.
-    /// Note they are `Rc`-backed and must stay on the interleaver
-    /// thread — [`Smp::run_concurrent`] builds its machines inside the
-    /// worker threads and is unaffected.
-    pub fn install_req_tracers(&mut self) -> Vec<isa_obs::ReqTracer> {
+    /// Switch on a fresh request buffer in every hart's observability
+    /// spine (keeping its other consumers) and return the handles, in
+    /// hart order. Buffers are per hart with no cross-hart sharing (the
+    /// deterministic interleaver drains them at round boundaries), so
+    /// they add no synchronization to the bus. The handles are
+    /// `Rc`-backed and must stay on the interleaver thread —
+    /// [`Smp::run_concurrent`] builds its machines inside the worker
+    /// threads and is unaffected.
+    pub fn install_req_tracers(&mut self) -> Vec<isa_obs::Obs> {
         self.harts
             .iter_mut()
             .map(|m| {
-                let tracer = isa_obs::ReqTracer::enabled();
-                m.set_req_tracer(tracer.clone());
-                tracer
+                let obs = m.obs.clone().with_requests();
+                m.set_obs(obs.clone());
+                obs
             })
             .collect()
     }
 
-    /// Merged whole-machine counters: every hart's PCU snapshot summed,
-    /// plus the `smp.*` block (hart count, bus-wide reservation breaks).
+    /// Merged whole-machine counters: every hart's PCU snapshot and
+    /// step count summed, plus the `smp.*` block (hart count, bus-wide
+    /// reservation breaks).
     pub fn counters(&self) -> Counters {
         let mut c = Counters::default();
         for m in &self.harts {
             c.merge(&m.ext.counters());
+            c.run.steps += m.steps;
             if let Some(bb) = &m.bbcache {
                 c.bbcache.merge(&bb.stats.counters());
             }
@@ -334,9 +337,9 @@ impl Smp {
     /// All machines share `bus`'s memory image and one fresh
     /// [`ShootdownCell`].
     ///
-    /// Machines are built *inside* the worker threads (trace sinks and
-    /// timing models are deliberately not thread-shippable), so `make`
-    /// must be `Sync`; capture plain data — a program base, a
+    /// Machines are built *inside* the worker threads (observability
+    /// handles and timing models are deliberately not thread-shippable),
+    /// so `make` must be `Sync`; capture plain data — a program base, a
     /// [`isa_grid::PcuSnapshot`] — rather than live machines. Results
     /// come back ordered by hart id.
     pub fn run_concurrent<F>(bus: &Bus, max_steps: u64, make: F) -> Vec<HartResult>
@@ -364,8 +367,8 @@ impl Smp {
                         }
                         // A profile is plain data, so it ships back
                         // across the thread boundary even though the
-                        // sink itself does not.
-                        let profile = m.prof.take();
+                        // handle itself does not.
+                        let profile = m.obs.take_profile();
                         HartResult {
                             hart: h,
                             exit,

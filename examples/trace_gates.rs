@@ -9,7 +9,7 @@
 
 use isa_asm::{Asm, Reg::*};
 use isa_grid::{DomainSpec, GateSpec, GridLayout, Pcu, PcuConfig};
-use isa_obs::{ToJson, TraceSink};
+use isa_obs::{Obs, Spine, ToJson};
 use isa_sim::csr::addr;
 use isa_sim::{mmio, Kind, Machine, DEFAULT_RAM_BASE as RAM};
 
@@ -69,12 +69,11 @@ fn main() {
         },
     );
 
-    // One ring, two handles: the machine stamps retires and traps, the
-    // PCU stamps checks, cache probes and gate activity. Sharing the
-    // sink is what keeps the stream in commit order.
-    let sink = TraceSink::ring(4096);
-    m.set_tracer(sink.clone());
-    m.ext.set_tracer(sink.clone());
+    // One handle: the machine stamps retires and traps, and `set_obs`
+    // hands the PCU a clone for checks, cache probes and gate activity.
+    // Sharing one spine is what keeps the stream in commit order.
+    let obs = Obs::new(Spine::new().with_ring(4096));
+    m.set_obs(obs.clone());
 
     for _ in 0..200 {
         m.step();
@@ -84,7 +83,7 @@ fn main() {
     }
 
     // One JSON object per line, in commit order.
-    for ev in sink.snapshot() {
+    for ev in obs.events() {
         println!("{}", ev.to_json());
     }
     println!("counters = {}", m.ext.counters().to_json().pretty());

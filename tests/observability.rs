@@ -34,7 +34,7 @@ fn gate_switch_events_match_committed_instruction_order() {
     assert_eq!(sim.run_to_halt(STEPS).unwrap(), 0);
     let events = sim.trace_events();
     assert!(!events.is_empty());
-    assert_eq!(sim.machine.trace.dropped(), 0, "grow RING: ring overflowed");
+    assert_eq!(sim.machine.obs.dropped(), 0, "grow RING: ring overflowed");
 
     // The committed gate instructions, in retire order.
     let gate_retires: Vec<&isa_obs::TimedEvent> = events
@@ -104,7 +104,7 @@ fn counters_agree_with_the_event_stream() {
         .boot(&prog, None);
     assert_eq!(sim.run_to_halt(STEPS).unwrap(), 0);
     let events = sim.trace_events();
-    assert_eq!(sim.machine.trace.dropped(), 0, "grow RING: ring overflowed");
+    assert_eq!(sim.machine.obs.dropped(), 0, "grow RING: ring overflowed");
     let c = sim.counters();
 
     let count =
