@@ -323,6 +323,30 @@ pub struct Retired {
     pub ext: ExtEvents,
 }
 
+/// The events of a superblock in program order, rebuilt from the
+/// arguments of [`TimingSink::retire_block`]: `dynamic`'s record where it
+/// has one for an index, the template otherwise, up to and including
+/// the last dynamic index. Malformed input never panics: indices past
+/// `templates` or out of order yield their dynamic records as they come.
+pub fn block_events<'a>(
+    templates: &'a [Retired],
+    mut dynamic: &'a [(u8, Retired)],
+) -> impl Iterator<Item = &'a Retired> {
+    let mut i = 0usize;
+    std::iter::from_fn(move || {
+        let ((at, ev), rest) = dynamic.split_first()?;
+        let here = i;
+        i += 1;
+        match templates.get(here) {
+            Some(t) if here < *at as usize => Some(t),
+            _ => {
+                dynamic = rest;
+                Some(ev)
+            }
+        }
+    })
+}
+
 /// Consumes retired-instruction events and charges cycles.
 ///
 /// Implemented by the `isa-timing` models. The return value is added to
@@ -333,14 +357,33 @@ pub trait TimingSink {
     /// number of cycles it consumed.
     fn retire(&mut self, ev: &Retired) -> u64;
 
-    /// Account a whole superblock of retired instructions, in program
-    /// order; returns the total cycles. The default loops
-    /// [`TimingSink::retire`], so any implementation is cycle-identical
-    /// to stepped execution by construction; models may override to
-    /// amortize per-call overhead (the loop then monomorphizes inside
-    /// one virtual call).
-    fn retire_block(&mut self, evs: &[Retired]) -> u64 {
-        evs.iter().map(|ev| self.retire(ev)).sum()
+    /// Account a superblock's retired instructions, in program order;
+    /// returns the total cycles.
+    ///
+    /// A block passes its compile-time records once and, beside them,
+    /// only the executed records that can differ:
+    ///
+    /// * `templates` holds one record per compiled op: pc, fetch
+    ///   physical address, kind, raw encoding, privilege, fill-time
+    ///   fetch `walk_reads`, and `next_pc = pc + 4`, with no data
+    ///   access, branch outcome, trap or extension events.
+    /// * `dynamic` holds `(index, record)` pairs in program order for
+    ///   every executed op whose record can differ from its template:
+    ///   each load/store (data access, data-walk reads, drained
+    ///   extension events) and the last executed op (branch outcome,
+    ///   `next_pc`, trap or deopt). The last pair's index ends the
+    ///   executed prefix; an empty `dynamic` retires nothing.
+    ///
+    /// Event `i` is `dynamic`'s record for `i` if it has one, else
+    /// `templates[i]` ([`block_events`]). The default rebuilds each
+    /// event and calls [`TimingSink::retire`], so any sink is
+    /// cycle-identical to stepped execution by construction. A model
+    /// may override it to batch work it can prove repeats, provided
+    /// every state change lands in the same order.
+    fn retire_block(&mut self, templates: &[Retired], dynamic: &[(u8, Retired)]) -> u64 {
+        block_events(templates, dynamic)
+            .map(|ev| self.retire(ev))
+            .sum()
     }
 
     /// A sink that charges a fixed cost per retired instruction and

@@ -68,6 +68,9 @@ pub const HOT_THRESHOLD: u32 = 16;
 /// concurrently-published invalidation can be observed (see module docs).
 pub const MAX_OPS: usize = 64;
 
+// Dynamic timing records name their op by a `u8` index.
+const _: () = assert!(MAX_OPS <= u8::MAX as usize + 1);
+
 /// Compiled blocks retained between flushes; compilation pauses at the
 /// cap (dispatch still runs) rather than evicting, since epoch flushes
 /// already bound the set's lifetime.
@@ -154,11 +157,10 @@ pub(crate) fn ends_block(kind: Option<Kind>) -> bool {
     kind.is_none_or(|k| !plain_op(k))
 }
 
-/// One compiled instruction: its decode and a precomputed retire-event
-/// template (pc, fetch physical address, fill-time walk depth).
+/// One compiled instruction (its retire-event template lives in
+/// [`Block::tmpls`] at the same index).
 struct Op {
     d: Decoded,
-    tmpl: Retired,
     /// Load or store: drain extension events and check for deopt.
     is_mem: bool,
     /// Store: re-check epochs and RAM-ness after executing.
@@ -187,6 +189,10 @@ struct Block {
     guard: JitGuard,
     key: FetchKey,
     ops: Box<[Op]>,
+    /// Per-op retire-event templates (pc, fetch physical address, kind,
+    /// raw, privilege, fill-time walk depth, `next_pc = pc + 4`), handed
+    /// to [`crate::TimingSink::retire_block`] as they are.
+    tmpls: Box<[Retired]>,
     end: BlockEnd,
     /// Resolved successor block ids ([`NO_LINK`] until first taken).
     /// Links are ids into the same generation's block list — a flush
@@ -266,9 +272,10 @@ pub struct Jit {
     heat: Vec<HeatEntry>,
     code_epoch: u64,
     ext_epoch: u64,
-    /// Buffered retire events for batched timing
-    /// ([`crate::TimingSink::retire_block`]).
-    scratch: Vec<Retired>,
+    /// Slots for the executed records of one block that differ from its
+    /// templates ([`crate::TimingSink::retire_block`]'s `dynamic`),
+    /// grown to the longest block run so records are written in place.
+    dynamic: Vec<(u8, Retired)>,
     /// Counter tallies.
     pub stats: JitStats,
 }
@@ -302,7 +309,7 @@ impl Jit {
             ],
             code_epoch: 0,
             ext_epoch: 0,
-            scratch: Vec::with_capacity(MAX_OPS),
+            dynamic: Vec::new(),
             stats: JitStats::default(),
         }
     }
@@ -410,6 +417,7 @@ fn compile(
 ) -> Option<Block> {
     let (phys_base, walk_reads, slots) = bb.peek_page(pc0, key)?;
     let mut ops: Vec<Op> = Vec::new();
+    let mut tmpls: Vec<Retired> = Vec::new();
     let mut end = None;
     let mut pc = pc0;
     while ops.len() < MAX_OPS && pc >> 12 == pc0 >> 12 {
@@ -424,7 +432,7 @@ fn compile(
         let kind = d.kind;
         // The template replays the fill-time walk depth exactly like a
         // bbcache hit, so modeled timing is bit-identical to stepping.
-        let tmpl = Retired {
+        tmpls.push(Retired {
             pc,
             fetch_paddr: phys_base | (pc & 0xfff),
             next_pc: pc.wrapping_add(4),
@@ -436,10 +444,9 @@ fn compile(
             trap_cause: None,
             walk_reads,
             ext: ExtEvents::default(),
-        };
+        });
         ops.push(Op {
             d,
-            tmpl,
             is_mem: kind.is_load() || kind.is_store(),
             is_store: kind.is_store(),
         });
@@ -464,6 +471,7 @@ fn compile(
         guard: *guard,
         key: *key,
         ops: ops.into_boxed_slice(),
+        tmpls: tmpls.into_boxed_slice(),
         end,
         link_taken: NO_LINK,
         link_fall: NO_LINK,
@@ -597,6 +605,7 @@ impl<E: Extension> Machine<E> {
                 c.read_raw(addr::PKR),
             )
         };
+        let flat = self.timing.flat_cost();
         let mut executed = 0u64;
         let mut via_link = NO_LINK;
         loop {
@@ -656,7 +665,11 @@ impl<E: Extension> Machine<E> {
                 break;
             }
             jit.stats.entered += 1;
-            let exit = self.exec_block(&jit.blocks[id as usize], &mut jit.scratch, code_epoch);
+            let block = &jit.blocks[id as usize];
+            let exit = match flat {
+                Some(cost) => self.exec_block::<true>(block, &mut jit.dynamic, code_epoch, cost),
+                None => self.exec_block::<false>(block, &mut jit.dynamic, code_epoch, 0),
+            };
             executed += exit.executed;
             jit.stats.ops += exit.executed;
             if !exit.completed {
@@ -732,39 +745,53 @@ impl<E: Extension> Machine<E> {
     /// Execute one compiled block. Per op this replays exactly what
     /// [`Machine::step`] does on the bbcache fast path — commit
     /// bookkeeping, walk-count replay, execute, retire — minus the
-    /// dispatch the guard already hoisted. Timing events are buffered
-    /// and retired through [`crate::TimingSink::retire_block`] in
-    /// program order.
-    fn exec_block(&mut self, b: &Block, scratch: &mut Vec<Retired>, code_epoch: u64) -> BlockExit {
+    /// dispatch the guard already hoisted.
+    ///
+    /// Every op executes into the next free `dynamic` slot. Only
+    /// loads/stores and the last executed op start it from their
+    /// template and keep it (it is not read back until the block
+    /// retires). Every other op's executed record equals its template,
+    /// so [`crate::TimingSink::retire_block`] reads that from
+    /// [`Block::tmpls`]; such an op writes nothing into the slot, which
+    /// the next kept record takes over. `FLAT` is set for a flat-cost
+    /// sink (NullTiming), which never reads events: nothing is kept and
+    /// the block is charged `ops × flat_cost`, the same sum a per-event
+    /// loop produces.
+    fn exec_block<const FLAT: bool>(
+        &mut self,
+        b: &Block,
+        dynamic: &mut Vec<(u8, Retired)>,
+        code_epoch: u64,
+        flat_cost: u64,
+    ) -> BlockExit {
         let active = b.guard.active;
-        // A flat-cost sink (NullTiming) never reads the events, so the
-        // block can skip buffering them and charge `ops × cost` at the
-        // end — the same sum a per-event loop would produce.
-        let flat = self.timing.flat_cost();
-        scratch.clear();
-        scratch.reserve(b.ops.len());
+        let last = b.ops.len() - 1;
+        if dynamic.len() < b.ops.len() {
+            dynamic.resize(b.ops.len(), (0, b.tmpls[0]));
+        }
+        let mut recorded = 0;
         let mut executed = 0u64;
         let mut committed = 0u64;
         let mut completed = true;
         let mut reason = None;
-        let mut local;
-        for op in b.ops.iter() {
+        for (i, (op, tmpl)) in b.ops.iter().zip(b.tmpls.iter()).enumerate() {
             executed += 1;
-            if op.tmpl.walk_reads > 0 {
+            if tmpl.walk_reads > 0 {
                 self.cpu.csrs.count_walk();
             }
             // The per-instruction check the guard stands in for still
             // moves the PCU commit counter and check tally.
             self.ext.jit_commit(active);
-            // Buffer the event in place (one template copy, no second
-            // copy on push); flat-cost sinks reuse a scratch register.
-            let ev: &mut Retired = if flat.is_none() {
-                scratch.push(op.tmpl);
-                scratch.last_mut().expect("just pushed")
-            } else {
-                local = op.tmpl;
-                &mut local
-            };
+            let tracked = op.is_mem || i == last;
+            let slot = &mut dynamic[recorded];
+            if tracked {
+                slot.1 = *tmpl;
+                if !FLAT {
+                    slot.0 = i as u8;
+                    recorded += 1;
+                }
+            }
+            let ev = &mut slot.1;
             match self.execute(&op.d, ev) {
                 Ok(next_pc) => {
                     self.cpu.pc = next_pc;
@@ -776,10 +803,19 @@ impl<E: Extension> Machine<E> {
                     // is taken; settle the batched count first.
                     self.cpu.csrs.add_instret(committed);
                     committed = 0;
-                    ev.trap_cause = Some(e.cause());
+                    let cause = Some(e.cause());
                     self.take_trap(e);
-                    ev.next_pc = self.cpu.pc;
+                    let next_pc = self.cpu.pc;
+                    if !tracked {
+                        *ev = *tmpl;
+                    }
+                    ev.trap_cause = cause;
+                    ev.next_pc = next_pc;
                     ev.ext = self.ext.drain_events();
+                    if !FLAT && !tracked {
+                        dynamic[recorded].0 = i as u8;
+                        recorded += 1;
+                    }
                     completed = false;
                     reason = Some(DeoptReason::Trap);
                     break;
@@ -821,9 +857,10 @@ impl<E: Extension> Machine<E> {
         if let Some(bb) = self.bbcache.as_deref_mut() {
             bb.credit_jit(executed);
         }
-        let cycles = match flat {
-            Some(c) => executed * c,
-            None => self.timing.retire_block(scratch),
+        let cycles = if FLAT {
+            executed * flat_cost
+        } else {
+            self.timing.retire_block(&b.tmpls, &dynamic[..recorded])
         };
         self.cpu.csrs.add_cycles(cycles);
         BlockExit {

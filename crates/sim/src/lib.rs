@@ -52,8 +52,8 @@ pub mod mmu;
 mod trap;
 
 pub use cpu::{
-    CpuState, Exit, ExtEvents, Extension, Flow, Machine, MemAccess, NullExtension, NullTiming,
-    Retired, RunError, TimingSink,
+    block_events, CpuState, Exit, ExtEvents, Extension, Flow, Machine, MemAccess, NullExtension,
+    NullTiming, Retired, RunError, TimingSink,
 };
 pub use decode::{decode, Decoded, Kind};
 pub use disas::disassemble;

@@ -91,6 +91,7 @@ impl CacheModel {
     /// Access `paddr`; returns `true` on hit. A miss fills the line
     /// (evicting LRU; ties break toward the lowest way, matching the
     /// first-minimum scan this replaced).
+    #[inline]
     pub fn access(&mut self, paddr: u64) -> bool {
         self.tick += 1;
         let line = paddr >> self.line_shift;
@@ -99,6 +100,12 @@ impl CacheModel {
             self.stats.hits += 1;
             return true;
         }
+        self.access_set(line)
+    }
+
+    /// The set scan of [`CacheModel::access`] for a line other than the
+    /// last one (`tick` already advanced).
+    fn access_set(&mut self, line: u64) -> bool {
         let set = (line & self.set_mask) as usize;
         let tag = line >> self.set_bits;
         let base = set * self.params.ways;
@@ -124,6 +131,29 @@ impl CacheModel {
         self.last_line = line;
         self.last_slot = base + victim;
         false
+    }
+
+    /// Whether `paddr` lies in the line of the most recent access, so
+    /// accessing it again is a hit.
+    #[inline]
+    pub fn is_last_line(&self, paddr: u64) -> bool {
+        paddr >> self.line_shift == self.last_line
+    }
+
+    /// Account `n` further accesses to the line of the most recent
+    /// access — exactly `n` calls of [`CacheModel::access`] on it, which
+    /// all hit the same slot and only move the LRU clock. A cache with
+    /// no last line (fresh or flushed) has nothing to repeat, and the
+    /// call does nothing.
+    pub fn repeat_last(&mut self, n: u64) {
+        if n == 0 || self.last_line == u64::MAX {
+            return;
+        }
+        self.tick += n;
+        if let Some(slot) = self.slots.get_mut(self.last_slot) {
+            slot.1 = self.tick;
+        }
+        self.stats.hits += n;
     }
 
     /// Drop all lines.
@@ -164,24 +194,59 @@ impl TlbModel {
         self.tick += 1;
         let vpn = vaddr >> 12;
         if let Some(i) = self.entries.iter().position(|&(v, _)| v == vpn) {
-            self.entries[i].1 = self.tick;
-            self.entries.swap(0, i);
+            self.hit_to_front(i, vpn);
             self.stats.hits += 1;
             return true;
         }
         self.stats.misses += 1;
         if self.entries.len() >= self.capacity {
-            let lru = self
+            if let Some(lru) = self
                 .entries
                 .iter()
                 .enumerate()
                 .min_by_key(|(_, (_, s))| *s)
                 .map(|(i, _)| i)
-                .expect("non-empty");
-            self.entries.swap_remove(lru);
+            {
+                self.entries.swap_remove(lru);
+            }
         }
         self.entries.push((vpn, self.tick));
         false
+    }
+
+    /// Account `n` further accesses to the page of `vaddr` — the same
+    /// state as `n` calls of [`TlbModel::access`]. When the page is
+    /// resident (the caller has just accessed it) every call hits, so
+    /// they fold into one clock advance and one move to the front; a
+    /// page that is not resident falls back to the calls themselves.
+    pub fn repeat(&mut self, vaddr: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        let vpn = vaddr >> 12;
+        match self.entries.iter().position(|&(v, _)| v == vpn) {
+            Some(i) => {
+                self.tick += n;
+                self.hit_to_front(i, vpn);
+                self.stats.hits += n;
+            }
+            None => {
+                for _ in 0..n {
+                    self.access(vaddr);
+                }
+            }
+        }
+    }
+
+    /// Restamp hit entry `i` (page `vpn`) with the current tick and swap
+    /// it to the front. Written as two whole-entry stores rather than a
+    /// stamp store followed by a swap, whose reload of the just-stored
+    /// entry the host cannot forward.
+    #[inline]
+    fn hit_to_front(&mut self, i: usize, vpn: u64) {
+        let front = self.entries[0];
+        self.entries[i] = front;
+        self.entries[0] = (vpn, self.tick);
     }
 
     /// Flush all translations (satp write / sfence.vma).
@@ -215,22 +280,18 @@ impl BranchPredictor {
     /// Record the outcome of a conditional branch at `pc`; returns `true`
     /// if the prediction was correct.
     pub fn predict_and_update(&mut self, pc: u64, taken: bool) -> bool {
+        // Saturating two-bit counter step, indexed [taken][counter]. The
+        // outcome is guest data the host cannot predict any better than
+        // the guest, so the update reads a table instead of branching.
+        const STEP: [[u8; 4]; 2] = [[0, 0, 1, 2], [1, 2, 3, 3]];
         let mask = self.counters.len() as u64 - 1;
         let idx = (((pc >> 2) ^ self.history) & mask) as usize;
-        let predict_taken = self.counters[idx] >= 2;
         let ctr = &mut self.counters[idx];
-        if taken {
-            *ctr = (*ctr + 1).min(3);
-        } else {
-            *ctr = ctr.saturating_sub(1);
-        }
+        let correct = (*ctr >= 2) == taken;
+        *ctr = STEP[taken as usize][*ctr as usize & 3];
         self.history = ((self.history << 1) | taken as u64) & mask;
-        let correct = predict_taken == taken;
-        if correct {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
+        self.stats.hits += correct as u64;
+        self.stats.misses += !correct as u64;
         correct
     }
 
@@ -240,11 +301,8 @@ impl BranchPredictor {
         let idx = ((pc >> 2) as usize) & (self.btb.len() - 1);
         let hit = self.btb[idx] == (pc, true);
         self.btb[idx] = (pc, true);
-        if hit {
-            self.stats.hits += 1;
-        } else {
-            self.stats.misses += 1;
-        }
+        self.stats.hits += hit as u64;
+        self.stats.misses += !hit as u64;
         hit
     }
 }
@@ -364,6 +422,18 @@ impl BranchPredictor {
 mod tests {
     use super::*;
 
+    fn cache_words(c: &CacheModel) -> Vec<u64> {
+        let mut out = Vec::new();
+        c.save_words(&mut out);
+        out
+    }
+
+    fn tlb_words(t: &TlbModel) -> Vec<u64> {
+        let mut out = Vec::new();
+        t.save_words(&mut out);
+        out
+    }
+
     fn small() -> CacheModel {
         // 4 sets × 2 ways × 64B lines = 512 B.
         CacheModel::new(CacheParams {
@@ -433,6 +503,53 @@ mod tests {
         assert!(!t.access(0x2000));
         t.flush();
         assert!(!t.access(0x1000));
+    }
+
+    #[test]
+    fn repeat_last_equals_repeated_hits() {
+        let (mut a, mut b) = (small(), small());
+        for c in [&mut a, &mut b] {
+            c.access(0x0);
+            c.access(0x100);
+            c.access(0x0);
+        }
+        for _ in 0..5 {
+            assert!(a.access(0x10));
+        }
+        assert!(b.is_last_line(0x10) && !b.is_last_line(0x100));
+        b.repeat_last(5);
+        assert_eq!(cache_words(&a), cache_words(&b));
+        // The LRU clock moved: 0x100 is still the victim.
+        a.access(0x200);
+        b.access(0x200);
+        assert!(a.access(0x0) && b.access(0x0));
+        // Nothing to repeat on a flushed cache.
+        b.flush();
+        b.repeat_last(3);
+        assert_eq!(b.stats.hits, a.stats.hits);
+    }
+
+    #[test]
+    fn tlb_repeat_equals_repeated_accesses() {
+        for n in [0, 1, 4] {
+            let (mut a, mut b) = (TlbModel::new(3), TlbModel::new(3));
+            for t in [&mut a, &mut b] {
+                t.access(0x1000);
+                t.access(0x2000);
+                t.access(0x3000); // filled at the back of the scan order
+            }
+            for _ in 0..n {
+                a.access(0x3abc);
+            }
+            b.repeat(0x3000, n);
+            assert_eq!(tlb_words(&a), tlb_words(&b), "n={n}");
+            // A page that is not resident replays the accesses.
+            for _ in 0..n {
+                a.access(0x9000);
+            }
+            b.repeat(0x9000, n);
+            assert_eq!(tlb_words(&a), tlb_words(&b), "n={n}");
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! and ≈ 52/44, cache-missing loads > 120 and > 200 cycles). Relative
 //! application overheads then *emerge* from the instruction streams.
 
-use isa_sim::{Kind, Retired, TimingSink};
+use isa_sim::{Kind, MemAccess, Retired, TimingSink};
 
 use crate::cache::{BranchPredictor, CacheModel, CacheParams, TlbModel, WordReader};
 
@@ -302,70 +302,104 @@ impl PipelineModel {
         }
     }
 
+    /// Base issue slot: 1 cycle in-order, 1/width on the wide core.
+    /// Serializing instructions drain the window and always occupy a
+    /// full slot.
+    #[inline]
+    fn issue_slot(&mut self, serializing: bool) -> u64 {
+        if serializing {
+            self.frac = 0;
+            1
+        } else {
+            self.frac += self.frac_inc;
+            let cycles = self.frac / 8;
+            self.frac %= 8;
+            cycles
+        }
+    }
+
     /// Fetch-side charge for one instruction.
     fn charge_fetch(&mut self, ev: &Retired) -> u64 {
         let mut c = 0;
         if ev.walk_reads > 0 && !self.itlb.access(ev.pc) {
-            c += self.cfg.walk_penalty;
-            self.stats.walk_stall += self.cfg.walk_penalty;
+            c += self.walk_miss();
         }
-        let f = self.fetch_stall(ev.fetch_paddr);
-        self.stats.fetch_stall += f;
-        c + f
+        c + self.charge_l1i(ev.fetch_paddr)
     }
-}
 
-impl TimingSink for PipelineModel {
-    fn retire(&mut self, ev: &Retired) -> u64 {
-        self.stats.events += 1;
-        // Base issue slot: 1 cycle in-order, 1/width on the wide core.
-        // Serializing instructions drain the window and always occupy a
-        // full slot.
-        let mut cycles;
-        if ev.kind.is_some_and(|k| k.is_serializing()) {
-            cycles = 1;
-            self.frac = 0;
+    /// [`PipelineModel::charge_fetch`] inside a superblock. An iTLB probe
+    /// of the page this block probed last, or an L1I probe of the line
+    /// the L1I saw last, is a hit that only moves that model's own LRU
+    /// clock: it is counted in `rep` and applied before the model's
+    /// next real access. Neither hit reaches L2/L3, so the order of
+    /// everything below L1 is unchanged.
+    #[inline(always)]
+    fn charge_fetch_repeat(&mut self, ev: &Retired, rep: &mut Repeats) -> u64 {
+        let mut c = 0;
+        if ev.walk_reads > 0 {
+            if ev.pc >> 12 == rep.page {
+                rep.itlb += 1;
+            } else {
+                c += self.itlb_probe(ev.pc, rep);
+            }
+        }
+        if self.l1i.is_last_line(ev.fetch_paddr) {
+            rep.l1i += 1;
         } else {
-            self.frac += self.frac_inc;
-            cycles = self.frac / 8;
-            self.frac %= 8;
+            self.l1i.repeat_last(std::mem::take(&mut rep.l1i));
+            c += self.charge_l1i(ev.fetch_paddr);
         }
+        c
+    }
 
-        cycles += self.charge_fetch(ev);
+    /// Settle the pending iTLB hits, then probe the page of `pc`.
+    #[inline(never)]
+    fn itlb_probe(&mut self, pc: u64, rep: &mut Repeats) -> u64 {
+        self.itlb
+            .repeat(rep.page << 12, std::mem::take(&mut rep.itlb));
+        rep.page = pc >> 12;
+        if self.itlb.access(pc) {
+            0
+        } else {
+            self.walk_miss()
+        }
+    }
 
-        let Some(kind) = ev.kind else {
-            // Fetch/decode fault: only the trap redirect applies.
-            let t = self.cfg.trap_penalty;
-            self.stats.trap_stall += t;
-            self.stats.cycles += cycles + t;
-            return cycles + t;
-        };
+    #[inline(never)]
+    fn charge_l1i(&mut self, paddr: u64) -> u64 {
+        let f = self.fetch_stall(paddr);
+        self.stats.fetch_stall += f;
+        f
+    }
 
-        // Data side.
+    /// Apply the hits `rep` holds back and forget its page.
+    fn settle(&mut self, rep: &mut Repeats) {
+        self.itlb.repeat(rep.page << 12, rep.itlb);
+        self.l1i.repeat_last(rep.l1i);
+        *rep = Repeats::NONE;
+    }
+
+    fn walk_miss(&mut self) -> u64 {
+        self.stats.walk_stall += self.cfg.walk_penalty;
+        self.cfg.walk_penalty
+    }
+
+    /// Everything after fetch for an instruction of class `kind`: data
+    /// access, control flow, functional units, and — out of line, as
+    /// they are rare — serialization, ISA-Grid costs and the trap
+    /// redirect.
+    #[inline(always)]
+    fn charge_exec(&mut self, ev: &Retired, kind: Kind) -> u64 {
+        let mut cycles = 0;
         if let Some(m) = ev.mem {
-            if ev.walk_reads > 0 && !self.dtlb.access(m.vaddr) {
-                cycles += self.cfg.walk_penalty;
-                self.stats.walk_stall += self.cfg.walk_penalty;
-            }
-            let d = self.data_stall(m.paddr);
-            self.stats.data_stall += d;
-            cycles += d;
+            cycles += self.charge_data(m, ev.walk_reads > 0);
         }
-
-        // Control flow.
-        if kind.is_branch() {
-            if !self.bp.predict_and_update(ev.pc, ev.branch_taken) {
-                cycles += self.cfg.mispredict_penalty;
-                self.stats.branch_stall += self.cfg.mispredict_penalty;
-            }
-        } else if matches!(kind, Kind::Jal | Kind::Jalr) && !self.bp.btb_lookup_update(ev.pc) {
-            cycles += self.cfg.jump_bubble;
-            self.stats.branch_stall += self.cfg.jump_bubble;
+        if kind.is_branch() || matches!(kind, Kind::Jal | Kind::Jalr) {
+            cycles += self.charge_control(ev, kind);
         }
-
         // Long-latency functional units.
         if kind.is_muldiv() {
-            let extra = if matches!(
+            cycles += if matches!(
                 kind,
                 Kind::Div
                     | Kind::Divu
@@ -380,11 +414,53 @@ impl TimingSink for PipelineModel {
             } else {
                 self.cfg.mul_latency
             };
-            cycles += extra;
         }
+        let e = &ev.ext;
+        if kind.is_serializing()
+            || kind.is_grid_custom()
+            || ev.trap_cause.is_some()
+            || e.gate_switch
+            || (e.hpt_inst_miss | e.hpt_reg_miss | e.hpt_mask_miss | e.sgt_miss) != 0
+            || e.shootdown_flushed > 0
+        {
+            cycles += self.charge_rare(ev, kind);
+        }
+        cycles
+    }
 
-        // Serialization. Gates are priced separately below; the TLB is
-        // flushed on translation-control updates.
+    /// Data-side charge: the dTLB when the access walked, then L1D and
+    /// below.
+    #[inline(never)]
+    fn charge_data(&mut self, m: MemAccess, walked: bool) -> u64 {
+        let mut c = 0;
+        if walked && !self.dtlb.access(m.vaddr) {
+            c += self.walk_miss();
+        }
+        let d = self.data_stall(m.paddr);
+        self.stats.data_stall += d;
+        c + d
+    }
+
+    /// Branch-predictor charge, without branching on the outcome.
+    #[inline]
+    fn charge_control(&mut self, ev: &Retired, kind: Kind) -> u64 {
+        let c = if kind.is_branch() {
+            let hit = self.bp.predict_and_update(ev.pc, ev.branch_taken);
+            !hit as u64 * self.cfg.mispredict_penalty
+        } else {
+            let hit = self.bp.btb_lookup_update(ev.pc);
+            !hit as u64 * self.cfg.jump_bubble
+        };
+        self.stats.branch_stall += c;
+        c
+    }
+
+    /// Serialization (gates are priced separately; the TLBs are flushed
+    /// on translation-control updates), ISA-Grid costs and the trap
+    /// redirect.
+    #[inline(never)]
+    fn charge_rare(&mut self, ev: &Retired, kind: Kind) -> u64 {
+        let mut cycles = 0;
         if kind.is_serializing() && !kind.is_grid_custom() {
             cycles += self.cfg.serialize_penalty;
             self.stats.serialize_stall += self.cfg.serialize_penalty;
@@ -431,9 +507,75 @@ impl TimingSink for PipelineModel {
             cycles += self.cfg.trap_penalty;
             self.stats.trap_stall += self.cfg.trap_penalty;
         }
+        cycles
+    }
+}
 
+/// Fetch-side hits a superblock retire has proven and not yet applied.
+struct Repeats {
+    /// Page of the block's last iTLB probe (`u64::MAX`: none yet).
+    page: u64,
+    /// Pending iTLB hits on `page`.
+    itlb: u64,
+    /// Pending L1I hits on the L1I's last line.
+    l1i: u64,
+}
+
+impl Repeats {
+    const NONE: Repeats = Repeats {
+        page: u64::MAX,
+        itlb: 0,
+        l1i: 0,
+    };
+}
+
+impl TimingSink for PipelineModel {
+    fn retire(&mut self, ev: &Retired) -> u64 {
+        self.stats.events += 1;
+        let mut cycles = self.issue_slot(ev.kind.is_some_and(|k| k.is_serializing()));
+        cycles += self.charge_fetch(ev);
+        match ev.kind {
+            Some(kind) => cycles += self.charge_exec(ev, kind),
+            None => {
+                // Fetch/decode fault: only the trap redirect applies.
+                let t = self.cfg.trap_penalty;
+                self.stats.trap_stall += t;
+                cycles += t;
+            }
+        }
         self.stats.cycles += cycles;
         cycles
+    }
+
+    /// Per-event [`TimingSink::retire`], except that an iTLB probe of
+    /// the page the block probed last, or an L1I probe of the L1I's
+    /// last line — a hit that only moves that model's LRU clock — is
+    /// counted and applied in one step ([`TlbModel::repeat`],
+    /// [`CacheModel::repeat_last`]) before the model's next real
+    /// access. Serializing and fetch-fault events (which may flush the
+    /// TLBs) settle the batch and take the per-event path, so every
+    /// model's state changes in the same order as stepped retirement.
+    fn retire_block(&mut self, templates: &[Retired], dynamic: &[(u8, Retired)]) -> u64 {
+        let mut rep = Repeats::NONE;
+        let mut total = 0;
+        for ev in isa_sim::block_events(templates, dynamic) {
+            match ev.kind {
+                Some(kind) if !kind.is_serializing() => {
+                    self.stats.events += 1;
+                    let mut cycles = self.issue_slot(false);
+                    cycles += self.charge_fetch_repeat(ev, &mut rep);
+                    cycles += self.charge_exec(ev, kind);
+                    self.stats.cycles += cycles;
+                    total += cycles;
+                }
+                _ => {
+                    self.settle(&mut rep);
+                    total += self.retire(ev);
+                }
+            }
+        }
+        self.settle(&mut rep);
+        total
     }
 
     fn interrupt(&mut self) -> u64 {
@@ -516,7 +658,7 @@ impl TimingSink for PipelineModel {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use isa_sim::{ExtEvents, MemAccess, Priv};
+    use isa_sim::{ExtEvents, Priv};
 
     fn ev(pc: u64) -> Retired {
         Retired {
@@ -759,6 +901,128 @@ mod tests {
                 assert_eq!(lcg, lcg_b);
             }
             assert_eq!(restored.stats, warm.stats, "{}", cfg.name);
+        }
+    }
+
+    /// xorshift64 step for the block generator below.
+    fn next(rng: &mut u64) -> u64 {
+        *rng ^= *rng << 13;
+        *rng ^= *rng >> 7;
+        *rng ^= *rng << 17;
+        *rng
+    }
+
+    /// One chance in `n`.
+    fn one_in(rng: &mut u64, n: u64) -> bool {
+        next(rng).is_multiple_of(n)
+    }
+
+    /// A random superblock in [`TimingSink::retire_block`] form:
+    /// templates on consecutive pcs (crossing L1I lines, sometimes a
+    /// page), a quarter of them loads/stores, with serializing and
+    /// fetch-fault records mixed in; and the dynamic records of an
+    /// executed prefix, whose last op may trap or leave the block.
+    fn random_block(rng: &mut u64) -> (Vec<Retired>, Vec<(u8, Retired)>) {
+        let len = 1 + next(rng) % 64;
+        let pc0 = 0x8000_0000 + (next(rng) % 0x800) * 4;
+        let fetch_walk = if one_in(rng, 3) { 2 } else { 0 };
+        let templates: Vec<Retired> = (0..len)
+            .map(|i| {
+                let pc = pc0 + i * 4;
+                let mut t = ev(pc);
+                // Two virtual pages may share a physical one.
+                t.fetch_paddr = 0x8100_0000 + (((pc >> 12) % 2) << 12) + (pc & 0xfff);
+                t.walk_reads = fetch_walk;
+                let (kind, raw) = match next(rng) % 40 {
+                    0..=4 => (Some(Kind::Ld), 0x3),
+                    5..=9 => (Some(Kind::Sd), 0x23),
+                    10 => (Some(Kind::Mul), 0x33),
+                    11 => (Some(Kind::Divu), 0x33),
+                    12 => (Some(Kind::Csrrw), 0x1805_1073), // satp: flushes the TLBs
+                    13 => (Some(Kind::Fence), 0xf),
+                    14 => (None, 0),
+                    _ => (Some(Kind::Addi), 0x13),
+                };
+                if i + 1 == len && one_in(rng, 2) {
+                    t.kind = Some([Kind::Beq, Kind::Jal, Kind::Jalr][next(rng) as usize % 3]);
+                } else {
+                    t.kind = kind;
+                }
+                t.raw = raw;
+                t
+            })
+            .collect();
+        let exit = if one_in(rng, 3) {
+            next(rng) % len
+        } else {
+            len - 1
+        };
+        let mut dynamic = Vec::new();
+        for (i, t) in templates.iter().enumerate().take(exit as usize + 1) {
+            let mem = t.kind.is_some_and(|k| k.is_load() || k.is_store());
+            let last = i as u64 == exit;
+            if !mem && !last {
+                continue;
+            }
+            let mut r = *t;
+            if mem {
+                let vaddr = 0x4000 + ((next(rng) % 3) << 12) + next(rng) % 0x1000 / 8 * 8;
+                r.mem = Some(MemAccess {
+                    vaddr,
+                    paddr: 0x8200_0000 + vaddr,
+                    len: 8,
+                    write: t.kind.is_some_and(|k| k.is_store()),
+                });
+                // A data walk turns a zero fetch walk into a probe of
+                // the iTLB as well.
+                if one_in(rng, 2) {
+                    r.walk_reads += 3;
+                }
+                r.ext.hpt_inst_miss = one_in(rng, 8) as u8;
+            }
+            if last {
+                r.branch_taken = one_in(rng, 2);
+                if one_in(rng, 3) {
+                    r.trap_cause = Some(5);
+                    r.next_pc = 0x8000_0100;
+                }
+            }
+            dynamic.push((i as u8, r));
+        }
+        (templates, dynamic)
+    }
+
+    proptest::proptest! {
+        #![proptest_config(proptest::prelude::ProptestConfig::with_cases(64))]
+
+        /// The batched superblock retire is the per-event retire: same
+        /// cycles per block, same stats, same saved state.
+        #[test]
+        fn retire_block_equals_per_event_retire(seed in proptest::prelude::any::<u64>(), blocks in 1usize..12) {
+            for cfg in [TimingConfig::rocket(), TimingConfig::o3()] {
+                let mut batched = PipelineModel::new(cfg);
+                let mut stepped = PipelineModel::new(cfg);
+                let mut rng = seed | 1;
+                for _ in 0..blocks {
+                    let (templates, dynamic) = random_block(&mut rng);
+                    let got = batched.retire_block(&templates, &dynamic);
+                    let want: u64 = isa_sim::block_events(&templates, &dynamic)
+                        .map(|e| stepped.retire(e))
+                        .sum();
+                    proptest::prop_assert_eq!(got, want, "{}: block cycles", cfg.name);
+                    proptest::prop_assert_eq!(batched.stats, stepped.stats, "{}", cfg.name);
+                }
+                let (b, s) = (batched.save_state(), stepped.save_state());
+                let first_diff = b.iter().zip(&s).position(|(x, y)| x != y);
+                proptest::prop_assert!(
+                    b == s,
+                    "{}: saved state differs (lengths {} vs {}, first word {:?})",
+                    cfg.name,
+                    b.len(),
+                    s.len(),
+                    first_diff
+                );
+            }
         }
     }
 

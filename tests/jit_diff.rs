@@ -6,6 +6,12 @@
 //! `bbcache.*` counters (JIT-executed ops credit the hits the stepped
 //! path would have counted).
 //!
+//! Under a stateful timing model (`PipelineModel`, Rocket and O3) the
+//! endpoints must also carry the same timing-model state — cache tags,
+//! TLB order, predictor counters — since compiled blocks retire through
+//! the model's batched superblock path and the stepped loop through its
+//! per-event one.
+//!
 //! The JIT executes whole blocks between observation points, so the
 //! comparison is at run endpoints (and at every quantum boundary in
 //! the session test), not per retired event: per-step lock-stepping is
@@ -15,6 +21,7 @@ use isa_asm::{encode, Asm, Program, Reg::*};
 use isa_grid::PcuConfig;
 use isa_sim::csr::addr::{CYCLE, INSTRET};
 use isa_sim::{mmio, Machine, NullExtension, DEFAULT_RAM_BASE as RAM};
+use isa_timing::{PipelineModel, TimingConfig};
 use proptest::prelude::*;
 use simkernel::{KernelConfig, Platform};
 use workloads::{measure, LmBench};
@@ -126,8 +133,18 @@ fn looped_program(ops: &[Op], loops: u64) -> Program {
     a.assemble().expect("jit diff program assembles")
 }
 
-fn machine(prog: &Program, jit: bool, timer_every: Option<u64>) -> Machine<NullExtension> {
+/// A machine on `prog`; `timing` swaps the default flat-cost sink for a
+/// pipeline model.
+fn machine(
+    prog: &Program,
+    jit: bool,
+    timer_every: Option<u64>,
+    timing: Option<TimingConfig>,
+) -> Machine<NullExtension> {
     let mut m = Machine::new(NullExtension);
+    if let Some(cfg) = timing {
+        m = m.with_timing(Box::new(PipelineModel::new(cfg)));
+    }
     m.set_jit(jit);
     m.timer_every = timer_every;
     m.load_program(prog);
@@ -180,6 +197,13 @@ fn assert_end_eq(
         sb.stats.counters(),
         "bbcache counters diverged (JIT hit crediting is broken)"
     );
+    let (jt, st) = (j.timing.save_state(), s.timing.save_state());
+    prop_assert!(
+        jt == st,
+        "timing-model state diverged at word {:?} of {}",
+        jt.iter().zip(&st).position(|(a, b)| a != b),
+        jt.len().max(st.len())
+    );
     Ok(())
 }
 
@@ -189,9 +213,10 @@ fn diff_run(
     prog: &Program,
     max_steps: u64,
     timer_every: Option<u64>,
+    timing: Option<TimingConfig>,
 ) -> Result<Machine<NullExtension>, TestCaseError> {
-    let mut j = machine(prog, true, timer_every);
-    let mut s = machine(prog, false, timer_every);
+    let mut j = machine(prog, true, timer_every, timing);
+    let mut s = machine(prog, false, timer_every, timing);
     let ej = j.run(max_steps);
     let es = s.run(max_steps);
     prop_assert_eq!(ej, es, "exits diverged");
@@ -203,14 +228,19 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
     /// Random streams — self-modifying code included — reach identical
-    /// end states through compiled superblocks and the stepped loop.
+    /// end states through compiled superblocks and the stepped loop,
+    /// under the flat-cost sink and under the Rocket and O3 pipeline
+    /// models (whose blocks retire through the batched superblock path,
+    /// stepped events through the per-event one).
     #[test]
     fn jit_and_stepped_streams_reach_identical_endpoints(
         ops in prop::collection::vec(op_strategy(), 1..24),
         loops in 1u64..80,
     ) {
         let prog = looped_program(&ops, loops);
-        diff_run(&prog, 400_000, None)?;
+        for timing in [None, Some(TimingConfig::rocket()), Some(TimingConfig::o3())] {
+            diff_run(&prog, 400_000, None, timing)?;
+        }
     }
 
     /// The same property under a virtual timer whose period is prime
@@ -223,7 +253,7 @@ proptest! {
         period in 3u64..97,
     ) {
         let prog = looped_program(&ops, loops);
-        diff_run(&prog, 400_000, Some(period))?;
+        diff_run(&prog, 400_000, Some(period), None)?;
     }
 
     /// Arbitrary step budgets (not just run-to-halt): the JIT must stop
@@ -235,8 +265,8 @@ proptest! {
     ) {
         let ops = vec![Op::Addi(1), Op::Xor, Op::Load(0), Op::Store(1)];
         let prog = looped_program(&ops, loops);
-        let mut j = machine(&prog, true, None);
-        let mut s = machine(&prog, false, None);
+        let mut j = machine(&prog, true, None, None);
+        let mut s = machine(&prog, false, None, None);
         let dj = j.run_steps(budget);
         let ds = s.run_steps(budget);
         prop_assert_eq!(dj, ds, "consumed steps diverged");
@@ -251,7 +281,7 @@ proptest! {
 fn hot_loop_engages_the_jit() {
     let ops = vec![Op::Addi(1), Op::Xor, Op::Load(0), Op::Store(1)];
     let prog = looped_program(&ops, 500);
-    let j = diff_run(&prog, 400_000, None).expect("differential run succeeds");
+    let j = diff_run(&prog, 400_000, None, None).expect("differential run succeeds");
     let jit = j.jit.as_ref().expect("jit machine keeps its jit");
     assert!(jit.stats.compiled > 0, "hot loop must compile");
     assert!(
@@ -307,7 +337,7 @@ fn unfenced_patch_flushes_hot_blocks_and_matches_stepped() {
         a.d64(i);
     }
     let prog = a.assemble().expect("smc program assembles");
-    let j = diff_run(&prog, 400_000, None).expect("differential run succeeds");
+    let j = diff_run(&prog, 400_000, None, None).expect("differential run succeeds");
     let jit = j.jit.as_ref().expect("jit machine keeps its jit");
     assert!(
         jit.stats.compiled > 0,
