@@ -1,5 +1,6 @@
 //! Regenerate Figure 5 (LMbench, Linux decomposition, RISC-V).
-//! Accepts `--json` / `--csv` / `--no-bbcache` / `--profile <path>`.
+//! Accepts `--json` / `--csv` / `--no-bbcache` / `--no-jit` /
+//! `--profile <path>`.
 use isa_grid_bench::{figs, profile, report::Cli};
 use isa_obs::Json;
 fn main() {
@@ -7,6 +8,9 @@ fn main() {
         "fig5",
         "regenerate Figure 5 (LMbench, Linux decomposition, RISC-V)",
     )
+    .with_no_bbcache()
+    .with_no_jit()
+    .with_profile()
     .from_env();
     profile::begin(&args, "fig5");
     let bars = figs::fig5(2000, args.bbcache);

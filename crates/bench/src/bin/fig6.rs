@@ -1,5 +1,6 @@
 //! Regenerate Figure 6 (applications, Linux decomposition, RISC-V).
-//! Accepts `--json` / `--csv` / `--no-bbcache` / `--profile <path>`.
+//! Accepts `--json` / `--csv` / `--no-bbcache` / `--no-jit` /
+//! `--profile <path>`.
 //! Always writes the report (with `host_mips` throughput extras) to
 //! `BENCH_mips.json`; `--out` adds a second copy.
 use isa_grid_bench::{figs, profile, report::Cli};
@@ -10,6 +11,9 @@ fn main() {
         "fig6",
         "regenerate Figure 6 (applications, Linux decomposition, RISC-V)",
     )
+    .with_no_bbcache()
+    .with_no_jit()
+    .with_profile()
     .flag_str(
         "--out",
         "extra report path (BENCH_mips.json always written)",

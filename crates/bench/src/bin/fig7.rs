@@ -1,5 +1,6 @@
 //! Regenerate Figure 7 (applications, Linux decomposition, x86-like O3).
-//! Accepts `--json` / `--csv` / `--no-bbcache` / `--profile <path>`.
+//! Accepts `--json` / `--csv` / `--no-bbcache` / `--no-jit` /
+//! `--profile <path>`.
 use isa_grid_bench::{figs, profile, report::Cli};
 use isa_obs::Json;
 use simkernel::Platform;
@@ -8,6 +9,9 @@ fn main() {
         "fig7",
         "regenerate Figure 7 (applications, Linux decomposition, x86-like O3)",
     )
+    .with_no_bbcache()
+    .with_no_jit()
+    .with_profile()
     .from_env();
     profile::begin(&args, "fig7");
     let bars = figs::fig67(Platform::O3, 1, args.bbcache);

@@ -1,5 +1,6 @@
 //! Regenerate Figure 8 (applications on the nested-monitor kernel).
-//! Accepts `--json` / `--csv` / `--no-bbcache` / `--profile <path>`.
+//! Accepts `--json` / `--csv` / `--no-bbcache` / `--no-jit` /
+//! `--profile <path>`.
 use isa_grid_bench::{figs, profile, report::Cli};
 use isa_obs::Json;
 fn main() {
@@ -7,6 +8,9 @@ fn main() {
         "fig8",
         "regenerate Figure 8 (applications on the nested-monitor kernel)",
     )
+    .with_no_bbcache()
+    .with_no_jit()
+    .with_profile()
     .from_env();
     profile::begin(&args, "fig8");
     let bars = figs::fig8(1, args.bbcache);

@@ -1,10 +1,7 @@
-//! Regenerate the §7.2 case-3 PKS estimate. Accepts `--json` / `--csv`
-//! / `--profile <path>`.
-use isa_grid_bench::{pks, profile, report::Cli};
+//! Regenerate the §7.2 case-3 PKS estimate. Accepts `--json` / `--csv`.
+use isa_grid_bench::{pks, report::Cli};
 fn main() {
     let args = Cli::new("pks_case3", "regenerate the case-3 PKS estimate").from_env();
-    profile::begin(&args, "pks-case3");
     let c = pks::run(512);
     print!("{}", args.emit(&pks::render(&c)));
-    profile::finish(&args, vec![]);
 }

@@ -22,19 +22,33 @@ use isa_obs::Json;
 use isa_replay::wire::KIND_SERVE;
 use isa_replay::Dec;
 
-fn cfg_from(args: &isa_grid_bench::report::Args) -> serve::ServeConfig {
-    let mut cfg = serve::ServeConfig::new(
-        args.u64("--tenants") as usize,
-        args.u64("--requests"),
-        args.u64("--harts") as usize,
-        args.u64("--seed"),
-    );
-    cfg.quantum = args.u64("--quantum").max(1);
-    cfg.mean_gap = args.u64("--mean-gap").max(1);
-    cfg.flush_every = args.u64("--flush-every");
-    cfg.rotate_every = args.u64("--rotate-every");
-    cfg.probe_every = args.u64("--probe-every");
-    cfg
+/// The replay driver's flags: the shared serving flags with a short
+/// single-hart run as the default, plus the snapshot controls.
+fn cli() -> Cli {
+    let mut defaults = serve::ServeConfig::new(16, 2000, 1, 1);
+    defaults.rotate_every = 256;
+    serve::flags(
+        Cli::new("replay", "snapshot/restore driver for the serving harness"),
+        &defaults,
+    )
+    .flag_u64(
+        "--snapshot-at",
+        1000,
+        "capture the snapshot after N finished requests",
+    )
+    .flag_str(
+        "--snapshot",
+        "write the snapshot image here, then keep running",
+    )
+    .flag_str(
+        "--restore",
+        "resume from this snapshot image instead of booting",
+    )
+    .flag_str("--record", "write the host-event log here")
+    .flag_bool(
+        "--selftest",
+        "snapshot, restore, and assert digest equality",
+    )
 }
 
 fn finish(args: &isa_grid_bench::report::Args, run: serve::ServeRun, label: &str) -> ! {
@@ -57,52 +71,7 @@ fn finish(args: &isa_grid_bench::report::Args, run: serve::ServeRun, label: &str
 }
 
 fn main() {
-    let args = Cli::new("replay", "snapshot/restore driver for the serving harness")
-        .flag_u64("--tenants", 16, "tenant sessions (1..=56)")
-        .flag_u64("--requests", 2000, "requests to generate and serve")
-        .flag_u64("--harts", 1, "harts serving requests (1..=32)")
-        .flag_u64("--seed", 1, "workload seed")
-        .flag_u64("--quantum", 256, "steps per hart per scheduling round")
-        .flag_u64(
-            "--mean-gap",
-            128,
-            "mean inter-arrival gap in virtual cycles",
-        )
-        .flag_u64(
-            "--flush-every",
-            64,
-            "guest pflh every N completions (0 = never)",
-        )
-        .flag_u64(
-            "--rotate-every",
-            256,
-            "tenant-table rewrite (shootdown) every N completions (0 = never)",
-        )
-        .flag_u64("--probe-every", 0, "privileged-CSR probe every Nth request")
-        .flag_u64(
-            "--snapshot-at",
-            1000,
-            "capture the snapshot after N finished requests",
-        )
-        .flag_u64(
-            "--oracle-every",
-            0,
-            "differential-oracle check every N completions (0 = never)",
-        )
-        .flag_str(
-            "--snapshot",
-            "write the snapshot image here, then keep running",
-        )
-        .flag_str(
-            "--restore",
-            "resume from this snapshot image instead of booting",
-        )
-        .flag_str("--record", "write the host-event log here")
-        .flag_bool(
-            "--selftest",
-            "snapshot, restore, and assert digest equality",
-        )
-        .from_env();
+    let args = cli().from_env();
 
     let hooks = serve::ServeHooks {
         snapshot_at: args.u64("--snapshot-at"),
@@ -125,13 +94,11 @@ fn main() {
                 eprintln!("replay: resuming {harts}-hart run of {requests} requests");
             }
         }
-        let run = match serve::resume_run(
-            &frame,
-            &serve::ServeHooks {
-                snapshot_at: 0,
-                ..hooks
-            },
-        ) {
+        let hooks = serve::ServeHooks {
+            snapshot_at: 0,
+            ..hooks
+        };
+        let run = match serve::resume_run_jit(&frame, &hooks, args.jit) {
             Ok(r) => r,
             Err(e) => {
                 eprintln!("replay: {e}");
@@ -142,7 +109,7 @@ fn main() {
     }
 
     if args.flag("--selftest") {
-        let cfg = cfg_from(&args);
+        let cfg = serve::config(&args);
         assert!(
             hooks.snapshot_at > 0 && hooks.snapshot_at < cfg.requests,
             "replay: --selftest needs 0 < --snapshot-at < --requests"
@@ -153,7 +120,7 @@ fn main() {
             .snapshot
             .as_deref()
             .expect("selftest run produced no snapshot");
-        let resumed = serve::resume_run(frame, &serve::ServeHooks::default())
+        let resumed = serve::resume_run_jit(frame, &serve::ServeHooks::default(), cfg.jit)
             .expect("selftest snapshot failed to resume");
         assert_eq!(
             resumed.outcome.digest, unbroken.digest,
@@ -179,7 +146,7 @@ fn main() {
         return;
     }
 
-    let cfg = cfg_from(&args);
+    let cfg = serve::config(&args);
     let run = serve::run_hooked(&cfg, &hooks);
     if let Some(path) = args.str_opt("--snapshot") {
         match &run.snapshot {
@@ -200,4 +167,43 @@ fn main() {
         }
     }
     finish(&args, run, "run");
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn no_jit_holds_for_fresh_and_resumed_runs() {
+        let argv = [
+            "--no-jit",
+            "--tenants",
+            "4",
+            "--requests",
+            "60",
+            "--snapshot-at",
+            "30",
+        ];
+        let args = cli()
+            .try_parse(argv.iter().map(|s| s.to_string()).collect())
+            .expect("replay accepts --no-jit");
+        let cfg = serve::config(&args);
+        let hooks = serve::ServeHooks {
+            snapshot_at: args.u64("--snapshot-at"),
+            ..Default::default()
+        };
+        let first = serve::run_hooked(&cfg, &hooks);
+        assert_eq!(
+            first.outcome.counters.jit.entered, 0,
+            "fresh run used the JIT"
+        );
+        let frame = first.snapshot.expect("snapshot taken");
+        let resumed = serve::resume_run_jit(&frame, &serve::ServeHooks::default(), args.jit)
+            .expect("snapshot resumes");
+        assert_eq!(
+            resumed.outcome.counters.jit.entered, 0,
+            "resumed run used the JIT"
+        );
+        assert_eq!(resumed.outcome.digest, first.outcome.digest);
+    }
 }

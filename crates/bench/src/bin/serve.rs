@@ -10,41 +10,8 @@ use isa_grid_bench::report::Cli;
 use isa_grid_bench::{profile, serve};
 
 fn main() {
-    let args = Cli::new("serve", "open-loop multi-tenant serving harness")
-        .flag_u64(
-            "--tenants",
-            32,
-            "tenant sessions, one ISA domain each (1..=56)",
-        )
-        .flag_u64("--requests", 100_000, "requests to generate and serve")
-        .flag_u64("--harts", 4, "harts serving requests (1..=32)")
-        .flag_u64("--seed", 1, "workload seed (same seed => identical digest)")
-        .flag_u64("--quantum", 256, "steps per hart per scheduling round")
-        .flag_u64(
-            "--mean-gap",
-            128,
-            "mean inter-arrival gap in virtual cycles",
-        )
-        .flag_u64(
-            "--flush-every",
-            64,
-            "guest pflh after every N completions (0 = never)",
-        )
-        .flag_u64(
-            "--rotate-every",
-            1024,
-            "tenant-table rewrite (shootdown) every N completions (0 = never)",
-        )
-        .flag_u64(
-            "--probe-every",
-            0,
-            "every Nth request probes a privileged CSR (0 = never)",
-        )
-        .flag_u64(
-            "--oracle-every",
-            0,
-            "differential-oracle check every N completions (0 = never)",
-        )
+    let cli = Cli::new("serve", "open-loop multi-tenant serving harness").with_profile();
+    let args = serve::flags(cli, &serve::ServeConfig::new(32, 100_000, 4, 1))
         .flag_bool(
             "--self-heal",
             "classify failures, quarantine faulted tenants, retry from checkpoints",
@@ -100,19 +67,8 @@ fn main() {
         )
         .from_env();
 
-    let mut cfg = serve::ServeConfig::new(
-        args.u64("--tenants") as usize,
-        args.u64("--requests"),
-        args.u64("--harts") as usize,
-        args.u64("--seed"),
-    );
-    cfg.quantum = args.u64("--quantum").max(1);
-    cfg.mean_gap = args.u64("--mean-gap").max(1);
-    cfg.flush_every = args.u64("--flush-every");
-    cfg.rotate_every = args.u64("--rotate-every");
-    cfg.probe_every = args.u64("--probe-every");
+    let mut cfg = serve::config(&args);
     cfg.profile = args.profile.is_some();
-    cfg.jit = args.jit;
     cfg.self_heal = args.flag("--self-heal");
     cfg.checkpoint_every = args.u64("--checkpoint-every");
     cfg.request_fault_ppm = args.u64("--request-fault-ppm");

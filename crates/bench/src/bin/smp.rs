@@ -4,6 +4,7 @@ use isa_grid_bench::{profile, report::Cli, smpbench};
 
 fn main() {
     let args = Cli::new("smp", "SMP scaling + shootdown-traffic harness")
+        .with_profile()
         .flag_u64("--harts", 4, "harts to simulate")
         .flag_u64("--iters", 4_000_000, "iterations per hart")
         .from_env();

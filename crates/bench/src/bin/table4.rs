@@ -1,8 +1,11 @@
 //! Regenerate Table 4 (domain switching latency). Accepts `--json` /
-//! `--csv` / `--profile <path>`.
+//! `--csv` / `--no-jit` / `--profile <path>`.
 use isa_grid_bench::{profile, report::Cli};
 fn main() {
-    let args = Cli::new("table4", "regenerate Table 4 (domain switching latency)").from_env();
+    let args = Cli::new("table4", "regenerate Table 4 (domain switching latency)")
+        .with_no_jit()
+        .with_profile()
+        .from_env();
     profile::begin(&args, "table4");
     let t = isa_grid_bench::table4::run(512);
     print!("{}", args.emit(&isa_grid_bench::table4::render(&t)));

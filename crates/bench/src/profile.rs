@@ -1,11 +1,12 @@
 //! `--profile` support for the bench binaries.
 //!
-//! Every binary calls [`begin`] before running its harness and
-//! [`finish`] after emitting its table. When the command line carries
-//! `--profile <path>`, [`begin`] switches the thread-local workload
-//! profiler on, and [`finish`] gathers the collected per-run profiles
-//! into one [`ProfileReport`] and writes the Perfetto-loadable JSON to
-//! `<path>`. Without the flag both are no-ops, and because the
+//! The binaries whose harnesses run through [`workloads::measure`] call
+//! [`begin`] before running them; every binary that declares
+//! `--profile` calls [`finish`] after emitting its table. When the
+//! command line carries `--profile <path>`, [`begin`] switches the
+//! thread-local workload profiler on, and [`finish`] gathers the
+//! collected per-run profiles into one [`ProfileReport`] and writes the
+//! Perfetto-loadable JSON to `<path>`. Without the flag both are no-ops, and because the
 //! profiler observes committed steps only, the figure numbers are
 //! bit-identical either way.
 
@@ -15,10 +16,9 @@ use workloads::measure;
 
 /// Start profiling if the command line asked for it: turns on the
 /// thread-local workload profiler and names the initial scope after
-/// the binary. Also applies the common `--no-jit` switch to the
-/// thread-local measurement harness (every binary calls `begin`, so
-/// this is the single place the flag takes effect). Returns whether
-/// profiling is on.
+/// the binary. Also applies the `--no-jit` switch to the thread-local
+/// measurement harness (the single place the flag takes effect for
+/// those binaries). Returns whether profiling is on.
 pub fn begin(args: &Args, scope: &str) -> bool {
     measure::set_jit(args.jit);
     if args.profile.is_none() {

@@ -305,8 +305,10 @@ impl std::error::Error for CliError {}
 /// Each binary declares its flags once; parsing then rejects unknown
 /// flags, missing values, and malformed integers with a non-zero exit
 /// and a generated `--help` listing. The common flags `--json`,
-/// `--csv`, `--no-bbcache`, `--no-jit`, `--profile <path>` and
-/// `--help` are declared for every binary.
+/// `--csv` and `--help` are declared for every binary; `--no-bbcache`,
+/// `--no-jit` and `--profile <path>` only by the binaries that act on
+/// them ([`Cli::with_no_bbcache`], [`Cli::with_no_jit`],
+/// [`Cli::with_profile`]), so the others reject them as unknown.
 ///
 /// ```
 /// use isa_grid_bench::report::Cli;
@@ -327,8 +329,7 @@ pub struct Cli {
 
 impl Cli {
     /// Start a registry for binary `bin`, pre-declaring the common
-    /// flags (`--json`, `--csv`, `--no-bbcache`, `--no-jit`,
-    /// `--profile <path>`, `--help`).
+    /// flags (`--json`, `--csv`, `--help`).
     pub fn new(bin: &'static str, about: &'static str) -> Cli {
         Cli {
             bin,
@@ -344,21 +345,6 @@ impl Cli {
                     kind: FlagKind::Bool,
                     help: "emit CSV instead of text",
                 },
-                FlagSpec {
-                    name: "--no-bbcache",
-                    kind: FlagKind::Bool,
-                    help: "disable the simulator's basic-block cache",
-                },
-                FlagSpec {
-                    name: "--no-jit",
-                    kind: FlagKind::Bool,
-                    help: "disable the superblock JIT (keep the bbcache)",
-                },
-                FlagSpec {
-                    name: "--profile",
-                    kind: FlagKind::Str,
-                    help: "write a Perfetto profile to <value>",
-                },
             ],
             positional: None,
         }
@@ -371,6 +357,21 @@ impl Cli {
         );
         self.flags.push(FlagSpec { name, kind, help });
         self
+    }
+
+    /// Opt in to `--no-bbcache` (run without the basic-block cache).
+    pub fn with_no_bbcache(self) -> Cli {
+        self.flag_bool("--no-bbcache", "disable the simulator's basic-block cache")
+    }
+
+    /// Opt in to `--no-jit` (run without the superblock JIT).
+    pub fn with_no_jit(self) -> Cli {
+        self.flag_bool("--no-jit", "disable the superblock JIT (keep the bbcache)")
+    }
+
+    /// Opt in to `--profile <path>` (see [`crate::profile`]).
+    pub fn with_profile(self) -> Cli {
+        self.flag_str("--profile", "write a Perfetto profile to <value>")
     }
 
     /// Declare a bare switch.
@@ -769,6 +770,8 @@ mod tests {
         let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
         let cli = || {
             Cli::new("demo", "test binary")
+                .with_no_bbcache()
+                .with_profile()
                 .flag_u64("--harts", 4, "harts")
                 .flag_u64("--iters", 7, "iterations")
                 .flag_u64_opt("--fault-seed", "seed")
@@ -818,6 +821,26 @@ mod tests {
         assert_eq!(p.positional(), Some("trace.json"));
         assert_eq!(p.u64("--audit-limit"), 5);
         assert!(cli2().try_parse(argv(&["a.json", "b.json"])).is_err());
+    }
+
+    #[test]
+    fn engine_flags_need_an_opt_in() {
+        let argv = |v: &[&str]| v.iter().map(|s| s.to_string()).collect::<Vec<_>>();
+        for flags in [
+            &["--no-jit"][..],
+            &["--no-bbcache"],
+            &["--profile", "p.json"],
+        ] {
+            let e = Cli::new("demo", "test binary")
+                .try_parse(argv(flags))
+                .unwrap_err();
+            assert!(e.0.contains(flags[0]), "{e}");
+        }
+        let a = Cli::new("demo", "test binary")
+            .with_no_jit()
+            .try_parse(argv(&["--no-jit"]))
+            .unwrap();
+        assert!(!a.jit && a.bbcache && a.profile.is_none());
     }
 
     #[test]
