@@ -19,8 +19,6 @@
 use isa_grid_bench::report::Cli;
 use isa_grid_bench::serve;
 use isa_obs::Json;
-use isa_replay::wire::KIND_SERVE;
-use isa_replay::Dec;
 
 /// The replay driver's flags: the shared serving flags with a short
 /// single-hart run as the default, plus the snapshot controls.
@@ -88,11 +86,11 @@ fn main() {
             }
         };
         // Report what we are about to resume before committing to it.
-        if let Ok(mut d) = Dec::open(&frame, KIND_SERVE) {
-            let _ = d.u64(); // tenants
-            if let (Ok(requests), Ok(harts)) = (d.u64(), d.u64()) {
-                eprintln!("replay: resuming {harts}-hart run of {requests} requests");
-            }
+        if let Ok(cfg) = serve::frame_config(&frame) {
+            eprintln!(
+                "replay: resuming {}-hart run of {} requests",
+                cfg.harts, cfg.requests
+            );
         }
         let hooks = serve::ServeHooks {
             snapshot_at: 0,

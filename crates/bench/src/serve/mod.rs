@@ -1146,6 +1146,12 @@ pub fn resume_run_jit(
     Ok(ServeState::resume(frame, jit)?.drive(hooks))
 }
 
+/// The run configuration a snapshot image carries in its header, with
+/// the JIT on (a host-side setting the frame does not record).
+pub fn frame_config(frame: &[u8]) -> Result<ServeConfig, WireError> {
+    ServeConfig::decode(&mut Dec::open(frame, KIND_SERVE)?, true)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1220,6 +1226,19 @@ mod tests {
             format!("{back:?}"),
             format!("{:?}", ServeConfig { jit: false, ..cfg })
         );
+    }
+
+    #[test]
+    fn frame_config_round_trips_the_encoded_header() {
+        let mut cfg = ServeConfig::new(7, 300, 4, 9);
+        cfg.self_heal = true;
+        cfg.trace = TraceMode::Full;
+        cfg.watchdog_rounds = 99;
+        let mut e = Enc::new();
+        cfg.encode(&mut e);
+        let back = frame_config(&e.seal(KIND_SERVE)).unwrap();
+        assert_eq!(format!("{back:?}"), format!("{cfg:?}"));
+        assert!(frame_config(&[0; 8]).is_err(), "not a serve frame");
     }
 
     #[test]

@@ -2061,29 +2061,26 @@ impl Extension for Pcu {
         // outside M-mode), no pending or deferred shootdown (must flush
         // before the next commit). With the event ring or the profile on
         // the machine never asks (its `jit_run` returns first).
+        // A shootdown that did land moves `coherence_epoch`, which drops
+        // every block compiled before it along with the bbcache's
+        // decode slots.
         if self.faults.is_some()
             || self.poisoned
             || self.shoot_defer > 0
             || self.shoot_defer_polls > 0
+            || self
+                .shoot
+                .as_ref()
+                .is_some_and(|c| c.pending(self.hart).is_some())
         {
             return None;
         }
-        let epoch = match &self.shoot {
-            Some(cell) => {
-                if cell.pending(self.hart).is_some() {
-                    return None;
-                }
-                cell.epoch()
-            }
-            None => 0,
-        };
         if !self.active(cpu) {
             // M-mode / domain-0: `check_inst` early-outs past every
             // cache and bitmap — the guard only replays the commit.
             return Some(isa_sim::JitGuard {
                 active: false,
                 domain: self.regs.domain,
-                epoch,
                 words: [0; isa_sim::jit::GUARD_WORDS],
             });
         }
@@ -2103,7 +2100,6 @@ impl Extension for Pcu {
         Some(isa_sim::JitGuard {
             active: true,
             domain: self.regs.domain,
-            epoch,
             words: self.ipr.words,
         })
     }

@@ -158,24 +158,26 @@ impl ToJson for BbCounters {
 /// All zero when the JIT is disabled (`--no-jit` / `--no-bbcache`).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct JitCounters {
-    /// Superblocks compiled from hot bbcache pages.
+    /// Superblocks compiled from hot bbcache pages (recompiles under a
+    /// new guard included).
     pub compiled: u64,
-    /// Superblock executions entered through the dispatch map or a
-    /// resolved block link.
+    /// Superblock executions entered through dispatch or a resolved
+    /// block link.
     pub entered: u64,
     /// Instructions retired inside superblocks (the JIT's share of
     /// `run.steps`).
     pub ops: u64,
     /// Block-to-block transitions that used a resolved fallthrough or
-    /// taken link (no dispatch-map re-hash).
+    /// taken link (no dispatch).
     pub linked: u64,
-    /// Dispatches refused by the per-block privilege guard (domain or
-    /// coherence-epoch mismatch, pending shootdown, fault regime).
+    /// Block entries whose privilege guard (domain, bitmap) no longer
+    /// matched; each recompiles the block in place.
     pub guard_misses: u64,
     /// Early exits to the interpreter mid-block (trap, MMIO store,
     /// code/coherence epoch movement at a store).
     pub deopts: u64,
-    /// Whole-JIT invalidations (code or coherence epoch movement).
+    /// bbcache flushes (code or coherence epoch movement) that dropped
+    /// compiled blocks.
     pub flushes: u64,
     /// Every bail back to the interpreter, broken down by
     /// [`DeoptReason`] index. Wider than `deopts`: it also counts the

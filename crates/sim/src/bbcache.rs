@@ -31,6 +31,13 @@
 //!   [`crate::Extension::coherence_epoch`]; a change flushes before the
 //!   next commit, mirroring the privilege-cache shootdown obligation.
 //!
+//! The same contract covers compiled code: the superblock JIT's blocks
+//! and head state live in the page entry they were compiled from
+//! ([`crate::jit::PageBlocks`]) and go whenever that entry's decode slots
+//! do — a flush of either kind, or a conflict re-key. Each entry carries
+//! a generation that every such drop moves, so a block link (which
+//! names an entry at a generation) dies with its target page.
+//!
 //! Entries are validated against everything `mmu::translate` reads for
 //! an `Exec` access — virtual page, privilege level, `satp`, the
 //! SUM/MXR bits of `mstatus`, and `pkr` — so a hit is exactly the
@@ -40,6 +47,7 @@
 
 use crate::csr::mstatus;
 use crate::decode::Decoded;
+use crate::jit::PageBlocks;
 use crate::trap::Priv;
 
 /// Instruction slots per page: 4 KiB of 4-byte-aligned instructions.
@@ -99,6 +107,13 @@ struct Entry {
     /// first decode fill so idle entries cost nothing, and reused (just
     /// cleared) across re-keys.
     slots: Option<Box<[Option<Decoded>; PAGE_SLOTS]>>,
+    /// Moves whenever the entry's translation or decode slots are
+    /// dropped or re-keyed; a [`PageAt`] naming an older generation no
+    /// longer resolves.
+    gen: u64,
+    /// Superblocks compiled from `slots`, with their heads' promotion
+    /// state; dropped together with the slots.
+    code: PageBlocks,
 }
 
 impl Entry {
@@ -113,8 +128,40 @@ impl Entry {
             phys_base: 0,
             walk_reads: 0,
             slots: None,
+            gen: 0,
+            code: PageBlocks::default(),
         }
     }
+
+    /// Drop everything compiled from this entry and move its
+    /// generation, so links into its blocks stop resolving. Returns the
+    /// number of blocks dropped.
+    fn drop_code(&mut self) -> usize {
+        self.gen += 1;
+        self.code.clear()
+    }
+}
+
+/// A fetch entry at one generation: resolves only while nothing the
+/// entry held has been dropped or re-keyed since.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct PageAt {
+    entry: u16,
+    gen: u64,
+}
+
+/// A cached code page as the superblock JIT sees it: translation,
+/// decode slots and compiled blocks, read without touching hit/miss
+/// accounting.
+pub(crate) struct CodePage<'a> {
+    /// This entry at its current generation.
+    pub(crate) at: PageAt,
+    pub(crate) phys_base: u64,
+    pub(crate) walk_reads: u8,
+    pub(crate) slots: &'a [Option<Decoded>; PAGE_SLOTS],
+    pub(crate) code: &'a mut PageBlocks,
+    /// Compiled blocks held across every entry.
+    pub(crate) held: &'a mut usize,
 }
 
 /// One data-translation entry. Data accesses are keyed like fetches
@@ -247,6 +294,8 @@ pub struct BbCache {
     code_epoch: u64,
     /// Last extension (shootdown) epoch this cache was synchronized to.
     ext_epoch: u64,
+    /// Compiled superblocks held across all entries.
+    blocks: usize,
     /// Counter tallies.
     pub stats: BbStats,
 }
@@ -265,6 +314,7 @@ impl BbCache {
             dtlb: vec![DtlbEntry::empty(); DTLB_ENTRIES],
             code_epoch: 0,
             ext_epoch: 0,
+            blocks: 0,
             stats: BbStats::default(),
         }
     }
@@ -285,21 +335,26 @@ impl BbCache {
     ///   are code-epoch-guarded; `pkr` and the paging context live in
     ///   the [`FetchKey`]), so only the decode slots — the substrate
     ///   the superblock JIT promotes from under a privilege-keyed
-    ///   guard — are dropped. Fetch and data translations survive.
+    ///   guard — are dropped, and the blocks compiled from them with
+    ///   them. Fetch and data translations survive.
+    ///
+    /// Returns whether the flush dropped any compiled block.
     #[inline]
-    pub fn sync_epochs(&mut self, code_epoch: u64, ext_epoch: u64) {
+    pub fn sync_epochs(&mut self, code_epoch: u64, ext_epoch: u64) -> bool {
         if self.code_epoch != code_epoch {
             self.code_epoch = code_epoch;
             self.ext_epoch = ext_epoch;
-            self.flush_all();
+            self.flush_all()
         } else if self.ext_epoch != ext_epoch {
             self.ext_epoch = ext_epoch;
-            self.flush_slots();
+            self.flush_slots()
+        } else {
+            false
         }
     }
 
     #[inline]
-    fn index(vpage: u64, key: &FetchKey) -> usize {
+    pub(crate) fn index(vpage: u64, key: &FetchKey) -> usize {
         // Fibonacci hashing over (vpage, satp): consecutive pages of
         // one address space spread, and the same page under different
         // address spaces lands in different entries.
@@ -402,8 +457,9 @@ impl BbCache {
     }
 
     /// Install the translation for `vaddr`'s page, evicting whatever
-    /// occupied the direct-mapped slot. `phys_base` must be the
-    /// page-aligned physical base the walker resolved.
+    /// occupied the direct-mapped slot — decode slots and compiled
+    /// blocks included. `phys_base` must be the page-aligned physical
+    /// base the walker resolved.
     pub fn fill_translation(&mut self, vaddr: u64, key: FetchKey, phys_base: u64, walk_reads: u8) {
         let vpage = vaddr >> 12;
         let e = &mut self.entries[Self::index(vpage, &key)];
@@ -414,6 +470,7 @@ impl BbCache {
         if let Some(s) = e.slots.as_deref_mut() {
             s.fill(None);
         }
+        self.blocks -= e.drop_code();
     }
 
     /// Cache the decode of the instruction at `vaddr` in its page entry.
@@ -437,46 +494,70 @@ impl BbCache {
     /// store into a cached code or PTE line — is the only caller;
     /// `FENCE.I`/`SFENCE.VMA` need no flush of their own because every
     /// block they could affect was already dropped here when the
-    /// underlying store happened (see the module docs).
-    pub fn flush_all(&mut self) {
+    /// underlying store happened (see the module docs). Returns whether
+    /// any compiled block was dropped.
+    pub fn flush_all(&mut self) -> bool {
         self.stats.flushes += 1;
+        let held = self.blocks;
         for e in &mut self.entries {
             e.vpage = INVALID;
+            self.blocks -= e.drop_code();
         }
         for e in &mut self.dtlb {
             e.vpage = INVALID;
         }
+        held > 0
     }
 
-    /// Drop decode slots only, keeping fetch and data translations
-    /// live. Cross-hart privilege shootdowns (extension-epoch movement)
-    /// land here: they rewrite privilege tables, which the MMU never
-    /// consults, so cached translations stay exactly what the walker
-    /// would produce.
-    pub fn flush_slots(&mut self) {
+    /// Drop decode slots — and the blocks compiled from them — only,
+    /// keeping fetch and data translations live. Cross-hart privilege
+    /// shootdowns (extension-epoch movement) land here: they rewrite
+    /// privilege tables, which the MMU never consults, so cached
+    /// translations stay exactly what the walker would produce, while
+    /// blocks baked the old privilege decisions. Returns whether any
+    /// compiled block was dropped.
+    pub fn flush_slots(&mut self) -> bool {
         self.stats.slot_flushes += 1;
+        let held = self.blocks;
         for e in &mut self.entries {
             if let Some(s) = e.slots.as_deref_mut() {
                 s.fill(None);
             }
+            self.blocks -= e.drop_code();
         }
+        held > 0
     }
 
-    /// Non-counting peek at a cached fetch page: the superblock JIT's
-    /// block builder reads already-filled decode slots without
-    /// perturbing hit/miss accounting or cache state. Returns the
-    /// page's physical base, fill-time walk depth, and decode slots.
-    pub fn peek_page(
-        &self,
-        vaddr: u64,
-        key: &FetchKey,
-    ) -> Option<(u64, u8, &[Option<Decoded>; PAGE_SLOTS])> {
+    /// The cached code page at `vaddr` under `key`, for the superblock
+    /// JIT: `None` when the page is not cached under `key` or has no
+    /// decode slot filled yet. Non-counting, so neither dispatch nor
+    /// compilation perturbs the `bbcache.*` tallies.
+    pub(crate) fn code_page(&mut self, vaddr: u64, key: &FetchKey) -> Option<CodePage<'_>> {
         let vpage = vaddr >> 12;
-        let e = &self.entries[Self::index(vpage, key)];
+        let entry = Self::index(vpage, key);
+        let e = &mut self.entries[entry];
         if e.vpage != vpage || e.key != *key {
             return None;
         }
-        e.slots.as_deref().map(|s| (e.phys_base, e.walk_reads, s))
+        Some(CodePage {
+            at: PageAt {
+                entry: entry as u16,
+                gen: e.gen,
+            },
+            phys_base: e.phys_base,
+            walk_reads: e.walk_reads,
+            slots: e.slots.as_deref()?,
+            code: &mut e.code,
+            held: &mut self.blocks,
+        })
+    }
+
+    /// The compiled blocks of the entry `at` names — one generation
+    /// compare — or `None` once anything it held was dropped.
+    #[inline]
+    pub(crate) fn blocks_at(&mut self, at: PageAt) -> Option<&mut PageBlocks> {
+        let e = &mut self.entries[at.entry as usize];
+        (e.gen == at.gen).then_some(&mut e.code)
     }
 
     /// Credit `n` fetches served from a compiled superblock: each

@@ -386,16 +386,6 @@ pub trait TimingSink {
             .sum()
     }
 
-    /// A sink that charges a fixed cost per retired instruction and
-    /// never reads the event record may advertise that cost here; the
-    /// JIT then skips event buffering inside compiled blocks and
-    /// charges `ops × cost` directly — arithmetically identical to
-    /// retiring each event. Stateful models must return `None` (the
-    /// default) so they see every event in program order.
-    fn flat_cost(&self) -> Option<u64> {
-        None
-    }
-
     /// Account an asynchronous interrupt redirect.
     fn interrupt(&mut self) -> u64 {
         10
@@ -428,8 +418,10 @@ impl TimingSink for NullTiming {
         1
     }
 
-    fn flat_cost(&self) -> Option<u64> {
-        Some(1)
+    /// One cycle per event of the executed prefix, which the last
+    /// dynamic index ends.
+    fn retire_block(&mut self, _templates: &[Retired], dynamic: &[(u8, Retired)]) -> u64 {
+        dynamic.last().map_or(0, |&(i, _)| u64::from(i) + 1)
     }
 }
 
@@ -551,14 +543,11 @@ pub struct Machine<E: Extension> {
     /// translate-and-decode path every step (the `--no-bbcache`
     /// escape hatch).
     pub bbcache: Option<Box<crate::bbcache::BbCache>>,
-    /// Superblock JIT compiled over the bbcache; `None` leaves
-    /// [`Machine::run_steps`] on the per-instruction dispatch loop (the
-    /// `--no-jit` escape hatch, and always when the bbcache is off).
+    /// The superblock JIT's switch and tallies; its blocks live in the
+    /// bbcache's page entries. `None` leaves [`Machine::run_steps`] on
+    /// the per-instruction dispatch loop (the `--no-jit` escape hatch);
+    /// without the bbcache it is inert.
     pub jit: Option<Box<crate::jit::Jit>>,
-    /// Whether the JIT is wanted when the bbcache is on — remembered
-    /// across [`Machine::set_bbcache`] cycles (snapshot restore brings
-    /// the cache up cold through that path).
-    jit_enabled: bool,
 }
 
 impl<E: Extension> Machine<E> {
@@ -589,33 +578,34 @@ impl<E: Extension> Machine<E> {
             last_trap_cause: None,
             obs: isa_obs::Obs::off(),
             bbcache: Some(Box::new(crate::bbcache::BbCache::new())),
-            jit: Some(Box::new(crate::jit::Jit::new())),
-            jit_enabled: true,
+            jit: Some(Box::default()),
         }
     }
 
     /// Enable or disable the basic-block cache (enabled by default).
-    /// Disabling drops all cached state — including the superblock JIT,
-    /// which compiles from the cache's decode slots. Re-enabling brings
-    /// both up *cold* (the snapshot-restore path relies on this: JIT
-    /// state is never serialized, so restored machines re-warm under
-    /// the walk-replay invariant and digests stay bit-identical).
+    /// Disabling drops all cached state — including the superblocks
+    /// compiled into its page entries. Re-enabling brings the cache up
+    /// *cold* and restarts the JIT's tallies (the snapshot-restore path
+    /// relies on this: JIT state is never serialized, so restored
+    /// machines re-warm under the walk-replay invariant and digests stay
+    /// bit-identical).
     pub fn set_bbcache(&mut self, enabled: bool) {
         self.bbcache = enabled.then(|| Box::new(crate::bbcache::BbCache::new()));
-        self.jit = (enabled && self.jit_enabled).then(|| Box::new(crate::jit::Jit::new()));
+        self.set_jit(self.jit_enabled());
     }
 
     /// Enable or disable the superblock JIT (enabled by default, inert
-    /// without the bbcache). Disabling drops all compiled blocks.
+    /// without the bbcache); either way its tallies restart. Blocks
+    /// already compiled stay in their bbcache page entries, under the
+    /// cache's invalidation contract, and are not dispatched while off.
     pub fn set_jit(&mut self, enabled: bool) {
-        self.jit_enabled = enabled;
-        self.jit = (enabled && self.bbcache.is_some()).then(|| Box::new(crate::jit::Jit::new()));
+        self.jit = enabled.then(Box::default);
     }
 
-    /// Whether the superblock JIT is wanted when the bbcache is on
-    /// (the `--no-jit` latch; SMP workers inherit hart 0's setting).
+    /// Whether the superblock JIT is on (SMP workers inherit hart 0's
+    /// setting).
     pub fn jit_enabled(&self) -> bool {
-        self.jit_enabled
+        self.jit.is_some()
     }
 
     /// The hart id this machine executes as.
@@ -841,6 +831,7 @@ impl<E: Extension> Machine<E> {
     /// bus code epoch / extension coherence epoch before any lookup.
     fn fetch_decode(&mut self, pc: u64, ev: &mut Retired) -> Result<Decoded, Exception> {
         use crate::bbcache::{FetchKey, Lookup};
+        self.sync_bbcache();
         let Some(bb) = self.bbcache.as_deref_mut() else {
             let ctx = self.cpu.walk_ctx(self.cpu.priv_level);
             let tr = mmu::translate(&mut self.bus, ctx, pc, Access::Exec)?;
@@ -858,10 +849,6 @@ impl<E: Extension> Machine<E> {
             ev.kind = Some(d.kind);
             return Ok(d);
         };
-
-        // Invalidation contract: flush before any lookup if code lines
-        // were written or a cross-hart shootdown landed.
-        bb.sync_epochs(self.bus.code_epoch(), self.ext.coherence_epoch());
 
         let ctx = self.cpu.walk_ctx(self.cpu.priv_level);
         let key = FetchKey::new(ctx.priv_level, ctx.satp, ctx.mstatus, ctx.pkr);
@@ -922,6 +909,22 @@ impl<E: Extension> Machine<E> {
         Ok(d)
     }
 
+    /// The bbcache's invalidation contract, applied before any lookup:
+    /// flush if code or PTE lines were written or a cross-hart
+    /// shootdown landed. A flush that drops compiled blocks is a
+    /// `jit.flushes` tick.
+    #[inline]
+    fn sync_bbcache(&mut self) {
+        let Some(bb) = self.bbcache.as_deref_mut() else {
+            return;
+        };
+        if bb.sync_epochs(self.bus.code_epoch(), self.ext.coherence_epoch()) {
+            if let Some(j) = self.jit.as_deref_mut() {
+                j.stats.flushes += 1;
+            }
+        }
+    }
+
     /// Translate a data access, through the basic-block cache's data
     /// TLB when one is attached and paging is actually active (bare and
     /// M-mode accesses go straight to the walker, whose early-out is
@@ -938,11 +941,10 @@ impl<E: Extension> Machine<E> {
         let ctx = self.cpu.walk_ctx(self.effective_data_priv());
         let paged = ctx.priv_level != Priv::M && ctx.satp >> 60 == 8;
         if paged {
+            // Same obligation as fetches before consulting any cached
+            // translation.
+            self.sync_bbcache();
             if let Some(bb) = self.bbcache.as_deref_mut() {
-                // Same obligation as fetches: flush before consulting
-                // any cached translation if code/PTE lines were written
-                // or a cross-hart shootdown landed.
-                bb.sync_epochs(self.bus.code_epoch(), self.ext.coherence_epoch());
                 let write = access == Access::Write;
                 let key = FetchKey::new(ctx.priv_level, ctx.satp, ctx.mstatus, ctx.pkr);
                 if let Some((paddr, walk_reads)) = bb.lookup_data(vaddr, &key, write) {

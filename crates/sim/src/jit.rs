@@ -5,21 +5,21 @@
 //! instruction check, timing virtual call — remained. This layer
 //! translates hot basic blocks into straight-line [`Op`] arrays that
 //! execute without re-entering [`crate::Machine::step`] at all, chains
-//! blocks to their resolved successors so hot loops never re-hash, and
+//! blocks to their resolved successors so hot loops never re-probe, and
 //! hoists the PCU instruction-bitmap check to one per-block guard.
 //!
 //! ## The guard
 //!
 //! A block is compiled under a [`JitGuard`]: the active/inactive check
-//! regime, the ISA domain, the coherence epoch, and — crucially — the
-//! *contents* of the domain's instruction bitmap. Comparing the bitmap
-//! words themselves (not a version counter) makes the guard exactly as
-//! fresh as the stepped interpreter's bypass register (`ipr`): a table
-//! rewrite that the stepped path would not observe until `pflh` or a
-//! shootdown is, by construction, also unobserved here, and anything
-//! that *does* reload the bypass register produces different words and
-//! fails the guard. Every block entry compares the full guard; any
-//! mismatch falls back to the interpreter (`guard_misses`).
+//! regime, the ISA domain, and — crucially — the *contents* of the
+//! domain's instruction bitmap. Comparing the bitmap words themselves
+//! (not a version counter) makes the guard exactly as fresh as the
+//! stepped interpreter's bypass register (`ipr`): a table rewrite that
+//! the stepped path would not observe until `pflh` or a shootdown is, by
+//! construction, also unobserved here, and anything that *does* reload
+//! the bypass register produces different words and fails the guard.
+//! Every block entry compares the full guard; a mismatch recompiles the
+//! block under the current guard (`guard_misses`).
 //!
 //! The PCU only vends an *active* guard when its fast path is pure —
 //! bypass register valid, no legal-instruction cache, no pending
@@ -29,17 +29,21 @@
 //! (commit count, check tally) is replayed through
 //! [`crate::Extension::jit_commit`].
 //!
-//! ## Invalidation
+//! ## Where blocks live
 //!
-//! Blocks reuse the bbcache contract verbatim: the bus `code_epoch`
-//! (SMC and PTE stores) and the extension `coherence_epoch` (privilege
-//! shootdowns) are compared on every dispatch and the whole cache is
-//! dropped on movement. In-block stores are followed by an epoch check
-//! so a store that invalidates its own block deoptimizes *at the
-//! causing store*, and MMIO stores (the halt latch) deoptimize so the
-//! run loop observes them immediately. Snapshots never serialize JIT
-//! state: restore brings the cache up cold and the walk-replay
-//! invariant keeps digests bit-identical.
+//! The bbcache is the only code cache indexed by `(pc, FetchKey)`. A
+//! block and its head's promotion state live in the page entry whose
+//! decode slots it was compiled from ([`PageBlocks`]); dispatch reaches
+//! it only through that entry, and a link names the entry at a
+//! generation. So every bbcache drop — code-epoch flush (SMC, PTE
+//! stores), coherence-epoch flush (shootdowns: blocks bake privilege
+//! decisions), conflict re-key — drops that page's blocks and the links
+//! into them. In-block stores are followed by an epoch check so a store
+//! that invalidates its own block deoptimizes *at the causing store*,
+//! and MMIO stores (the halt latch) deoptimize so the run loop observes
+//! them immediately. Snapshots never serialize JIT state: restore brings
+//! the cache up cold and the walk-replay invariant keeps digests
+//! bit-identical.
 //!
 //! ## Determinism
 //!
@@ -51,7 +55,7 @@
 //! nondeterministic), remote SMC or shootdowns become visible at block
 //! boundaries, within [`MAX_OPS`] retired instructions.
 
-use crate::bbcache::{BbCache, FetchKey, PAGE_SLOTS};
+use crate::bbcache::{BbCache, CodePage, FetchKey, PageAt, PAGE_SLOTS};
 use crate::cpu::{ExtEvents, Extension, Machine, Retired};
 use crate::decode::{Decoded, Kind};
 use crate::trap::Priv;
@@ -71,23 +75,16 @@ pub const MAX_OPS: usize = 64;
 // Dynamic timing records name their op by a `u8` index.
 const _: () = assert!(MAX_OPS <= u8::MAX as usize + 1);
 
-/// Compiled blocks retained between flushes; compilation pauses at the
-/// cap (dispatch still runs) rather than evicting, since epoch flushes
-/// already bound the set's lifetime.
+/// Compiled blocks held across a machine's bbcache; compilation pauses
+/// at the cap (dispatch still runs) rather than evicting, since bbcache
+/// flushes and re-keys already bound the set's lifetime.
 const MAX_BLOCKS: usize = 4096;
 
-/// Direct-mapped dispatch-map entries; must be a power of two.
-const MAP_ENTRIES: usize = 2048;
-
-/// Direct-mapped promotion-counter entries; must be a power of two.
-const HEAT_ENTRIES: usize = 1024;
-
-/// Sentinel block id for "no link resolved yet".
-const NO_LINK: u32 = u32::MAX;
+/// [`Head::block`] of a head with no compiled block.
+const NO_BLOCK: u16 = u16::MAX;
 
 /// Heat value marking a head as not worth compiling (uncompilable lead
-/// instruction). Evicted like any other heat entry, so a poisoned head
-/// is retried only after its slot is recycled.
+/// instruction). It sticks until the head's page entry is dropped.
 const POISON: u32 = u32::MAX;
 
 /// The privilege regime a superblock was compiled under. Equality of
@@ -101,8 +98,6 @@ pub struct JitGuard {
     pub active: bool,
     /// ISA domain the block was validated for.
     pub domain: u64,
-    /// Extension coherence epoch at compile time.
-    pub epoch: u64,
     /// The domain's instruction bitmap at compile time (all-zero for
     /// inactive guards).
     pub words: [u64; GUARD_WORDS],
@@ -114,7 +109,6 @@ impl JitGuard {
     pub const INACTIVE: JitGuard = JitGuard {
         active: false,
         domain: 0,
-        epoch: 0,
         words: [0; GUARD_WORDS],
     };
 
@@ -148,13 +142,10 @@ fn control_flow(kind: Kind) -> bool {
     kind.is_branch() || matches!(kind, Kind::Jal | Kind::Jalr)
 }
 
-/// Whether a just-interpreted instruction of this kind leaves the PC at
-/// a potential block head (so the run loop should probe the dispatch
-/// map again). `None` kinds are fetch/decode faults — the trap vector
-/// is a head.
+/// Decode-slot index of `pc` within its page.
 #[inline]
-pub(crate) fn ends_block(kind: Option<Kind>) -> bool {
-    kind.is_none_or(|k| !plain_op(k))
+fn slot_of(pc: u64) -> usize {
+    (pc as usize >> 2) & (PAGE_SLOTS - 1)
 }
 
 /// One compiled instruction (its retire-event template lives in
@@ -180,58 +171,107 @@ enum BlockEnd {
     /// its successor (page end, cold slot, uncompilable next op).
     Fixed(u64),
     /// Last op is an indirect jump (`jalr`): successor varies, resolved
-    /// through the dispatch map each time.
+    /// through dispatch each time.
     Indirect,
+}
+
+/// A compiled block's address: its page entry at a generation, and its
+/// index among that entry's blocks.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct BlockId {
+    page: PageAt,
+    index: u16,
 }
 
 /// A compiled superblock.
 struct Block {
     guard: JitGuard,
-    key: FetchKey,
     ops: Box<[Op]>,
     /// Per-op retire-event templates (pc, fetch physical address, kind,
     /// raw, privilege, fill-time walk depth, `next_pc = pc + 4`), handed
     /// to [`crate::TimingSink::retire_block`] as they are.
     tmpls: Box<[Retired]>,
     end: BlockEnd,
-    /// Resolved successor block ids ([`NO_LINK`] until first taken).
-    /// Links are ids into the same generation's block list — a flush
-    /// drops blocks and links together, so a resolved link can never
-    /// dangle.
-    link_taken: u32,
-    link_fall: u32,
+    /// Resolved successors, re-resolved when missing or when their page
+    /// entry has moved on (one generation compare).
+    link_taken: Option<BlockId>,
+    link_fall: Option<BlockId>,
 }
 
+/// Promotion state of one block head.
 #[derive(Debug, Clone, Copy)]
-struct MapEntry {
-    pc: u64,
-    key: FetchKey,
-    id: u32,
-}
-
-#[derive(Debug, Clone, Copy)]
-struct HeatEntry {
-    pc: u64,
-    tag: u64,
+struct Head {
+    /// Decode slot of the head instruction.
+    slot: u16,
+    /// Index of the head's block in [`PageBlocks::blocks`], or
+    /// [`NO_BLOCK`].
+    block: u16,
+    /// Dispatch probes so far (saturating at [`HOT_THRESHOLD`]), or
+    /// [`POISON`].
     heat: u32,
+}
+
+/// The superblocks compiled from one bbcache page entry and the
+/// promotion state of that page's block heads. It lives in the entry,
+/// beside the decode slots it was compiled from, and the bbcache drops it
+/// whenever it drops or re-keys those slots.
+#[derive(Default)]
+pub(crate) struct PageBlocks {
+    /// Heads dispatch has probed on this page, sorted by slot.
+    heads: Vec<Head>,
+    /// Compiled blocks at stable indices; a block is taken out of its
+    /// place while it executes, and a poisoned head's block is dropped.
+    blocks: Vec<Option<Box<Block>>>,
+}
+
+impl PageBlocks {
+    /// Drop every head and block; returns how many blocks were held.
+    pub(crate) fn clear(&mut self) -> usize {
+        let n = self.blocks.len();
+        self.heads.clear();
+        self.blocks.clear();
+        n
+    }
+
+    /// Index of the head at `slot`, created cold on first probe.
+    fn head(&mut self, slot: u16) -> usize {
+        self.heads
+            .binary_search_by_key(&slot, |h| h.slot)
+            .unwrap_or_else(|i| {
+                let cold = Head {
+                    slot,
+                    block: NO_BLOCK,
+                    heat: 0,
+                };
+                self.heads.insert(i, cold);
+                i
+            })
+    }
+
+    /// The block compiled at `slot`, if any; probes no heat.
+    fn compiled(&self, slot: u16) -> Option<u16> {
+        let i = self.heads.binary_search_by_key(&slot, |h| h.slot).ok()?;
+        Some(self.heads[i].block).filter(|&b| b != NO_BLOCK)
+    }
 }
 
 /// Superblock-JIT tallies, exported as the `jit.*` counter block.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct JitStats {
-    /// Blocks compiled.
+    /// Blocks compiled (recompiles after a guard miss included).
     pub compiled: u64,
     /// Block entries (guard passed, ops executed).
     pub entered: u64,
     /// Instructions retired inside blocks.
     pub ops: u64,
-    /// Block-to-block transfers through a resolved link (no re-hash).
+    /// Block-to-block transfers through a resolved link (no dispatch).
     pub linked: u64,
     /// Block entries refused because the guard mismatched.
     pub guard_misses: u64,
     /// Blocks exited early (trap, MMIO store, epoch movement).
     pub deopts: u64,
-    /// Whole-cache flushes (code or coherence epoch movement).
+    /// bbcache flushes (code or coherence epoch movement) that dropped
+    /// compiled blocks.
     pub flushes: u64,
     /// Per-reason bail events, indexed by [`DeoptReason`]. Wider than
     /// `deopts`: it also counts pre-dispatch refusals (guard miss,
@@ -263,15 +303,10 @@ impl JitStats {
     }
 }
 
-/// The per-machine superblock cache: compiled blocks, the direct-mapped
-/// dispatch map, and promotion counters. Purely host-side state — never
-/// snapshotted, always rebuilt cold after restore.
+/// The JIT's per-machine host state: tallies and the retire buffer.
+/// Its blocks live in the bbcache (see the module docs).
+#[derive(Default)]
 pub struct Jit {
-    blocks: Vec<Block>,
-    map: Vec<MapEntry>,
-    heat: Vec<HeatEntry>,
-    code_epoch: u64,
-    ext_epoch: u64,
     /// Slots for the executed records of one block that differ from its
     /// templates ([`crate::TimingSink::retire_block`]'s `dynamic`),
     /// grown to the longest block run so records are written in place.
@@ -280,148 +315,16 @@ pub struct Jit {
     pub stats: JitStats,
 }
 
-impl Default for Jit {
-    fn default() -> Self {
-        Jit::new()
-    }
-}
-
-impl Jit {
-    /// An empty JIT cache.
-    pub fn new() -> Jit {
-        Jit {
-            blocks: Vec::new(),
-            map: vec![
-                MapEntry {
-                    pc: u64::MAX,
-                    key: FetchKey::new(Priv::M, 0, 0, 0),
-                    id: NO_LINK,
-                };
-                MAP_ENTRIES
-            ],
-            heat: vec![
-                HeatEntry {
-                    pc: u64::MAX,
-                    tag: 0,
-                    heat: 0,
-                };
-                HEAT_ENTRIES
-            ],
-            code_epoch: 0,
-            ext_epoch: 0,
-            dynamic: Vec::new(),
-            stats: JitStats::default(),
-        }
-    }
-
-    /// Compare both epochs against the last values seen and drop every
-    /// block on movement. Same contract as [`BbCache::sync_epochs`],
-    /// except blocks bake privilege decisions, so the coherence epoch
-    /// flushes them too (the bbcache keeps its translations).
-    #[inline]
-    fn sync_epochs(&mut self, code_epoch: u64, ext_epoch: u64) {
-        if self.code_epoch != code_epoch || self.ext_epoch != ext_epoch {
-            self.code_epoch = code_epoch;
-            self.ext_epoch = ext_epoch;
-            self.flush();
-        }
-    }
-
-    fn flush(&mut self) {
-        if !self.blocks.is_empty() {
-            self.stats.flushes += 1;
-        }
-        self.blocks.clear();
-        for e in &mut self.map {
-            e.pc = u64::MAX;
-        }
-        for e in &mut self.heat {
-            e.pc = u64::MAX;
-            e.heat = 0;
-        }
-    }
-
-    #[inline]
-    fn map_index(pc: u64, key: &FetchKey) -> usize {
-        let h = (pc >> 2)
-            .wrapping_add(key.satp.rotate_left(17))
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((h >> 40) as usize) & (MAP_ENTRIES - 1)
-    }
-
-    #[inline]
-    fn heat_index(pc: u64, tag: u64) -> usize {
-        let h = (pc >> 2)
-            .wrapping_add(tag.rotate_left(17))
-            .wrapping_mul(0x9e37_79b9_7f4a_7c15);
-        ((h >> 40) as usize) & (HEAT_ENTRIES - 1)
-    }
-
-    #[inline]
-    fn key_tag(key: &FetchKey) -> u64 {
-        key.satp ^ key.pkr.rotate_left(23) ^ key.mode.rotate_left(47)
-    }
-
-    /// Look up a compiled block for `(pc, key)`.
-    #[inline]
-    fn lookup(&self, pc: u64, key: &FetchKey) -> Option<u32> {
-        let e = &self.map[Self::map_index(pc, key)];
-        (e.pc == pc && e.key == *key).then_some(e.id)
-    }
-
-    fn insert(&mut self, pc: u64, key: FetchKey, block: Block) -> u32 {
-        let id = self.blocks.len() as u32;
-        self.blocks.push(block);
-        self.map[Self::map_index(pc, &key)] = MapEntry { pc, key, id };
-        self.stats.compiled += 1;
-        id
-    }
-
-    /// Bump the promotion counter for a dispatch miss at `(pc, key)`;
-    /// returns `true` when the head just crossed [`HOT_THRESHOLD`].
-    fn bump_heat(&mut self, pc: u64, key: &FetchKey) -> bool {
-        let tag = Self::key_tag(key);
-        let e = &mut self.heat[Self::heat_index(pc, tag)];
-        if e.pc == pc && e.tag == tag {
-            if e.heat == POISON {
-                return false;
-            }
-            e.heat += 1;
-            e.heat >= HOT_THRESHOLD
-        } else {
-            // Conflict or cold: take over the direct-mapped slot.
-            *e = HeatEntry { pc, tag, heat: 1 };
-            false
-        }
-    }
-
-    fn set_heat(&mut self, pc: u64, key: &FetchKey, heat: u32) {
-        let tag = Self::key_tag(key);
-        let e = &mut self.heat[Self::heat_index(pc, tag)];
-        if e.pc == pc && e.tag == tag {
-            e.heat = heat;
-        }
-    }
-}
-
-/// Compile the straight-line block at `pc0` from already-filled bbcache
-/// decode slots. Pure read: no cache state or accounting is perturbed
-/// (`peek_page` is non-counting), so compiling is digest-invisible.
-/// Returns `None` when the head instruction itself is uncompilable.
-fn compile(
-    bb: &BbCache,
-    guard: &JitGuard,
-    pc0: u64,
-    key: &FetchKey,
-    priv_level: Priv,
-) -> Option<Block> {
-    let (phys_base, walk_reads, slots) = bb.peek_page(pc0, key)?;
+/// Compile the straight-line block at `pc0` from `page`'s already-filled
+/// decode slots. Pure read, so compiling is digest-invisible. Returns
+/// `None` when the head instruction itself is uncompilable.
+fn compile(page: &CodePage<'_>, guard: &JitGuard, pc0: u64, priv_level: Priv) -> Option<Block> {
     let mut ops: Vec<Op> = Vec::new();
     let mut tmpls: Vec<Retired> = Vec::new();
     let mut end = None;
     let mut pc = pc0;
     while ops.len() < MAX_OPS && pc >> 12 == pc0 >> 12 {
-        let Some(d) = slots[(pc as usize >> 2) & (PAGE_SLOTS - 1)] else {
+        let Some(d) = page.slots[slot_of(pc)] else {
             break; // cold slot: end the block, interpreter fills it
         };
         // An instruction the guard denies would trap: leave it (and its
@@ -434,7 +337,7 @@ fn compile(
         // bbcache hit, so modeled timing is bit-identical to stepping.
         tmpls.push(Retired {
             pc,
-            fetch_paddr: phys_base | (pc & 0xfff),
+            fetch_paddr: page.phys_base | (pc & 0xfff),
             next_pc: pc.wrapping_add(4),
             kind: Some(kind),
             raw: d.raw,
@@ -442,7 +345,7 @@ fn compile(
             mem: None,
             branch_taken: false,
             trap_cause: None,
-            walk_reads,
+            walk_reads: page.walk_reads,
             ext: ExtEvents::default(),
         });
         ops.push(Op {
@@ -469,24 +372,124 @@ fn compile(
     let end = end.unwrap_or(BlockEnd::Fixed(pc));
     Some(Block {
         guard: *guard,
-        key: *key,
         ops: ops.into_boxed_slice(),
         tmpls: tmpls.into_boxed_slice(),
         end,
-        link_taken: NO_LINK,
-        link_fall: NO_LINK,
+        link_taken: None,
+        link_fall: None,
     })
 }
 
-/// Outcome of executing one block.
-struct BlockExit {
-    /// Steps consumed (committed instructions + at most one trap).
-    executed: u64,
-    /// `false` when the block exited early (trap, MMIO store, epoch
-    /// movement) and the chain must deoptimize to the interpreter.
-    completed: bool,
-    /// Why the block exited early (set iff `!completed`).
-    reason: Option<DeoptReason>,
+/// The block to enter at `pc`, taken out of its page entry (hand it
+/// back with [`put_block`]): through `link` while that is live and
+/// compiled under `guard`, else through the head state in `pc`'s page
+/// entry. A probe of a head whose decode slot is filled bumps its heat;
+/// the probe that reaches [`HOT_THRESHOLD`] compiles the block, and one
+/// that finds it compiled under another guard recompiles it in place.
+/// An uncompilable head is poisoned. `None` leaves `pc` to the
+/// interpreter.
+fn enter(
+    bb: &mut BbCache,
+    stats: &mut JitStats,
+    link: Option<BlockId>,
+    pc: u64,
+    key: &FetchKey,
+    guard: &JitGuard,
+    priv_level: Priv,
+) -> Option<(BlockId, Box<Block>)> {
+    if let Some(id) = link {
+        if let Some(b) = bb
+            .blocks_at(id.page)
+            .and_then(|p| p.blocks[id.index as usize].take())
+        {
+            if b.guard == *guard {
+                stats.linked += 1;
+                return Some((id, b));
+            }
+            put_block(bb, id, b); // dispatch counts the miss and recompiles
+        }
+    }
+    if !pc.is_multiple_of(4) {
+        return None; // the interpreter raises the misaligned trap
+    }
+    let page = bb.code_page(pc, key)?;
+    let slot = slot_of(pc);
+    // A cold slot is not a visit yet: the interpreter fills it first, so
+    // a head only ever promotes with its lead instruction decoded.
+    page.slots[slot]?;
+    let h = page.code.head(slot as u16);
+    let head = page.code.heads[h];
+    if head.heat == POISON {
+        return None;
+    }
+    if head.block != NO_BLOCK {
+        let id = BlockId {
+            page: page.at,
+            index: head.block,
+        };
+        match page.code.blocks[head.block as usize].take() {
+            Some(b) if b.guard == *guard => return Some((id, b)),
+            _ => {
+                stats.guard_misses += 1;
+                stats.note(DeoptReason::Guard);
+            }
+        }
+    } else {
+        let heat = (head.heat + 1).min(HOT_THRESHOLD);
+        page.code.heads[h].heat = heat;
+        if heat < HOT_THRESHOLD || *page.held >= MAX_BLOCKS {
+            return None;
+        }
+    }
+    let compiled = compile(&page, guard, pc, priv_level);
+    let head = &mut page.code.heads[h];
+    let Some(b) = compiled else {
+        head.heat = POISON;
+        head.block = NO_BLOCK;
+        return None;
+    };
+    stats.compiled += 1;
+    if head.block == NO_BLOCK {
+        head.block = page.code.blocks.len() as u16;
+        page.code.blocks.push(None);
+        *page.held += 1;
+    }
+    let id = BlockId {
+        page: page.at,
+        index: head.block,
+    };
+    Some((id, Box::new(b)))
+}
+
+/// Hand a block taken by [`enter`] back to its page entry — or drop it,
+/// if the entry was flushed or re-keyed while it ran.
+fn put_block(bb: &mut BbCache, id: BlockId, b: Box<Block>) {
+    if let Some(p) = bb.blocks_at(id.page) {
+        p.blocks[id.index as usize] = Some(b);
+    }
+}
+
+/// The live successor of `b`, which just completed with the PC at
+/// `next_pc`: its resolved link for that edge, re-resolved through the
+/// page entry of `next_pc` when missing or stale. Indirect jumps
+/// dispatch every time.
+fn successor(bb: &mut BbCache, b: &mut Block, next_pc: u64, key: &FetchKey) -> Option<BlockId> {
+    let edge = match b.end {
+        BlockEnd::Fixed(t) if next_pc == t => &mut b.link_taken,
+        BlockEnd::Branch { taken, .. } if next_pc == taken => &mut b.link_taken,
+        BlockEnd::Branch { fall, .. } if next_pc == fall => &mut b.link_fall,
+        _ => return None,
+    };
+    if !edge.is_some_and(|id| bb.blocks_at(id.page).is_some()) {
+        *edge = bb.code_page(next_pc, key).and_then(|page| {
+            let index = page.code.compiled(slot_of(next_pc) as u16)?;
+            Some(BlockId {
+                page: page.at,
+                index,
+            })
+        });
+    }
+    *edge
 }
 
 impl<E: Extension> Machine<E> {
@@ -498,9 +501,9 @@ impl<E: Extension> Machine<E> {
     /// consumed.
     pub fn run_steps(&mut self, budget: u64) -> u64 {
         let mut done = 0u64;
-        // Only probe the dispatch map when the PC can be a block head:
-        // after control transfers, traps, interrupts, and block-ender
-        // instructions. Mid-straight-line PCs never start a block.
+        // Only dispatch when the PC can be a block head: after control
+        // transfers, traps, interrupts, and block-ender instructions.
+        // Mid-straight-line PCs never start a block.
         let mut probe = true;
         while done < budget {
             if probe && self.jit.is_some() {
@@ -517,53 +520,46 @@ impl<E: Extension> Machine<E> {
             if self.bus.halted().is_some() {
                 break;
             }
+            // A fetch/decode fault (no kind) lands on the trap vector,
+            // which is a head too.
             probe = match &ev {
                 None => true, // interrupt redirect
                 Some(r) => {
                     r.trap_cause.is_some()
                         || r.next_pc != r.pc.wrapping_add(4)
-                        || ends_block(r.kind)
+                        || r.kind.is_none_or(|k| !plain_op(k))
                 }
             };
         }
         done
     }
 
-    /// Compile the block at `(pc, key)` into `jit` and map it. On
-    /// failure, poisons the head (uncompilable lead instruction) or
-    /// re-arms the promotion counter (cold decode slot, so the very
-    /// next interpreted visit fills it and compilation retries).
-    fn jit_compile(&self, jit: &mut Jit, guard: &JitGuard, pc: u64, key: &FetchKey) -> Option<u32> {
-        let bb = self.bbcache.as_deref()?;
-        match compile(bb, guard, pc, key, self.cpu.priv_level) {
-            Some(b) => Some(jit.insert(pc, *key, b)),
-            None => {
-                let cold_slot = bb
-                    .peek_page(pc, key)
-                    .is_none_or(|(_, _, s)| s[(pc as usize >> 2) & (PAGE_SLOTS - 1)].is_none());
-                let h = if cold_slot { HOT_THRESHOLD } else { POISON };
-                jit.set_heat(pc, key, h);
-                None
-            }
-        }
-    }
-
-    /// Dispatch loop: enter the block at the current PC if one is
-    /// compiled and its guard matches, chain through resolved links,
-    /// and stop strictly before `fuel` runs out or anything needs the
-    /// interpreter. Returns the steps consumed.
+    /// Run compiled blocks from the current PC while the JIT and the
+    /// bbcache are on and nothing needs the per-step interpreter.
+    /// Returns the steps consumed.
     fn jit_run(&mut self, fuel: u64) -> u64 {
         // The event ring and the profile want every step; leave the
         // whole fast path to them.
-        if self.obs.per_step() {
+        if self.obs.per_step() || self.bbcache.is_none() {
             return 0;
         }
+        let Some(mut jit) = self.jit.take() else {
+            return 0;
+        };
+        let executed = self.jit_chain(&mut jit, fuel);
+        self.jit = Some(jit);
+        executed
+    }
+
+    /// Dispatch loop: enter the block at the current PC if one is
+    /// compiled (or just got hot) and its guard matches, chain through
+    /// resolved links, and stop strictly before `fuel` runs out or
+    /// anything needs the interpreter. Returns the steps consumed.
+    fn jit_chain(&mut self, jit: &mut Jit, fuel: u64) -> u64 {
         // Never enter a block while an interrupt is deliverable (the
         // stepped path would redirect this very step) …
         if self.pending_interrupt().is_some() {
-            if let Some(j) = self.jit.as_mut() {
-                j.stats.note(DeoptReason::Interrupt);
-            }
+            jit.stats.note(DeoptReason::Interrupt);
             return 0;
         }
         // … and never let the virtual timer fire inside a block: with
@@ -573,28 +569,27 @@ impl<E: Extension> Machine<E> {
             Some(n) => {
                 let left = n.saturating_sub(self.timer_phase());
                 if left <= 1 {
-                    if let Some(j) = self.jit.as_mut() {
-                        j.stats.note(DeoptReason::Timer);
-                    }
+                    jit.stats.note(DeoptReason::Timer);
                     return 0;
                 }
                 fuel.min(left - 1)
             }
             None => fuel,
         };
-        if fuel == 0 || self.bbcache.is_none() {
+        if fuel == 0 {
             return 0;
         }
         let Some(guard) = self.ext.jit_guard(&self.cpu) else {
             return 0;
         };
-        let mut jit = match self.jit.take() {
-            Some(j) => j,
-            None => return 0,
-        };
         let code_epoch = self.bus.code_epoch();
-        jit.sync_epochs(code_epoch, self.ext.coherence_epoch());
-
+        let ext_epoch = self.ext.coherence_epoch();
+        // Dispatch reads the bbcache like a fetch does, so it first
+        // applies the same contract, for the epochs the chain checks.
+        let bb = self.bbcache.as_deref_mut();
+        if bb.is_some_and(|bb| bb.sync_epochs(code_epoch, ext_epoch)) {
+            jit.stats.flushes += 1;
+        }
         let key = {
             use crate::csr::addr;
             let c = &self.cpu.csrs;
@@ -605,131 +600,52 @@ impl<E: Extension> Machine<E> {
                 c.read_raw(addr::PKR),
             )
         };
-        let flat = self.timing.flat_cost();
+        let priv_level = self.cpu.priv_level;
         let mut executed = 0u64;
-        let mut via_link = NO_LINK;
-        loop {
+        let mut link = None;
+        while let Some(bb) = self.bbcache.as_deref_mut() {
             let pc = self.cpu.pc;
-            let (id, linked) = if via_link != NO_LINK {
-                (via_link, true)
-            } else {
-                if !pc.is_multiple_of(4) {
-                    break; // the interpreter raises the misaligned trap
-                }
-                match jit.lookup(pc, &key) {
-                    Some(id) => (id, false),
-                    None => {
-                        if !jit.bump_heat(pc, &key) || jit.blocks.len() >= MAX_BLOCKS {
-                            break;
-                        }
-                        match self.jit_compile(&mut jit, &guard, pc, &key) {
-                            Some(id) => (id, false),
-                            None => break,
-                        }
-                    }
-                }
+            let Some((id, mut block)) =
+                enter(bb, &mut jit.stats, link, pc, &key, &guard, priv_level)
+            else {
+                break;
             };
-            let block = &jit.blocks[id as usize];
-            if block.guard != guard || block.key != key {
-                jit.stats.guard_misses += 1;
-                jit.stats.note(DeoptReason::Guard);
-                if linked {
-                    // A resolved link outlived its guard: retry this pc
-                    // through the dispatch map.
-                    via_link = NO_LINK;
-                    continue;
-                }
-                // The mapped block was compiled under a different
-                // regime (e.g. the same code hot in another domain):
-                // recompile under the current guard and replace the map
-                // entry. The stale block stays until the next flush;
-                // links into it fail the same guard check.
-                if jit.blocks.len() >= MAX_BLOCKS
-                    || self.jit_compile(&mut jit, &guard, pc, &key).is_none()
-                {
-                    break;
-                }
-                continue;
-            }
-            if linked {
-                jit.stats.linked += 1;
-            }
             if executed + block.ops.len() as u64 > fuel {
                 jit.stats.note(DeoptReason::Budget);
+                put_block(bb, id, block);
                 break; // would cross the step budget: let the caller decide
             }
             // Concurrent invalidations (run_concurrent only) surface at
             // block granularity: re-read both epochs before entering.
-            if self.bus.code_epoch() != code_epoch || self.ext.coherence_epoch() != guard.epoch {
+            if self.bus.code_epoch() != code_epoch || self.ext.coherence_epoch() != ext_epoch {
                 jit.stats.note(DeoptReason::Epoch);
+                put_block(bb, id, block);
                 break;
             }
             jit.stats.entered += 1;
-            let block = &jit.blocks[id as usize];
-            let exit = match flat {
-                Some(cost) => self.exec_block::<true>(block, &mut jit.dynamic, code_epoch, cost),
-                None => self.exec_block::<false>(block, &mut jit.dynamic, code_epoch, 0),
-            };
-            executed += exit.executed;
-            jit.stats.ops += exit.executed;
-            if !exit.completed {
-                let reason = exit.reason.unwrap_or(DeoptReason::Trap);
+            let (ran, deopt) = self.exec_block(&block, &mut jit.dynamic, code_epoch, ext_epoch);
+            executed += ran;
+            jit.stats.ops += ran;
+            if let Some(reason) = deopt {
                 jit.stats.deopts += 1;
                 jit.stats.note(reason);
                 if self.obs.is_enabled() {
                     let t = self.cpu.csrs.read_raw(crate::csr::addr::CYCLE);
                     self.obs.request(t, || isa_obs::ReqEvent::Deopt { reason });
                 }
-                break;
             }
-            if self.bus.halted().is_some() {
+            let stop = deopt.is_some() || self.bus.halted().is_some();
+            let Some(bb) = self.bbcache.as_deref_mut() else {
                 break;
-            }
-            // Resolve the successor: record the link the first time so
-            // the hot path never re-hashes.
-            let next_pc = self.cpu.pc;
-            via_link = {
-                let block = &jit.blocks[id as usize];
-                let (slot_val, target) = match block.end {
-                    BlockEnd::Fixed(t) => (block.link_taken, t),
-                    BlockEnd::Branch { taken, fall } => {
-                        if next_pc == taken {
-                            (block.link_taken, taken)
-                        } else {
-                            (block.link_fall, fall)
-                        }
-                    }
-                    BlockEnd::Indirect => (NO_LINK, next_pc),
-                };
-                if slot_val != NO_LINK && next_pc == target {
-                    slot_val
-                } else if next_pc == target {
-                    match jit.lookup(next_pc, &key) {
-                        Some(nid) => {
-                            let block = &mut jit.blocks[id as usize];
-                            match block.end {
-                                BlockEnd::Fixed(_) => block.link_taken = nid,
-                                BlockEnd::Branch { taken, .. } => {
-                                    if next_pc == taken {
-                                        block.link_taken = nid;
-                                    } else {
-                                        block.link_fall = nid;
-                                    }
-                                }
-                                BlockEnd::Indirect => {}
-                            }
-                            nid
-                        }
-                        None => NO_LINK,
-                    }
-                } else {
-                    NO_LINK
-                }
             };
-            if via_link == NO_LINK && matches!(jit.blocks[id as usize].end, BlockEnd::Indirect) {
-                // Indirect targets re-hash; anything else falls back to
-                // the top of the loop (heat/compile) on the next pass.
-                via_link = jit.lookup(next_pc, &key).unwrap_or(NO_LINK);
+            link = if stop {
+                None
+            } else {
+                successor(bb, &mut block, self.cpu.pc, &key)
+            };
+            put_block(bb, id, block);
+            if stop {
+                break;
             }
         }
         // The stepped path only advances the phase when a timer is
@@ -738,7 +654,6 @@ impl<E: Extension> Machine<E> {
             self.set_timer_phase(self.timer_phase() + executed);
         }
         self.steps += executed;
-        self.jit = Some(jit);
         executed
     }
 
@@ -753,17 +668,19 @@ impl<E: Extension> Machine<E> {
     /// retires). Every other op's executed record equals its template,
     /// so [`crate::TimingSink::retire_block`] reads that from
     /// [`Block::tmpls`]; such an op writes nothing into the slot, which
-    /// the next kept record takes over. `FLAT` is set for a flat-cost
-    /// sink (NullTiming), which never reads events: nothing is kept and
-    /// the block is charged `ops × flat_cost`, the same sum a per-event
-    /// loop produces.
-    fn exec_block<const FLAT: bool>(
+    /// the next kept record takes over.
+    ///
+    /// Returns the steps consumed (committed instructions plus at most
+    /// one trap) and, when the block exited early — trap, MMIO store,
+    /// epoch movement — why, so the chain deoptimizes to the
+    /// interpreter.
+    fn exec_block(
         &mut self,
         b: &Block,
         dynamic: &mut Vec<(u8, Retired)>,
         code_epoch: u64,
-        flat_cost: u64,
-    ) -> BlockExit {
+        ext_epoch: u64,
+    ) -> (u64, Option<DeoptReason>) {
         let active = b.guard.active;
         let last = b.ops.len() - 1;
         if dynamic.len() < b.ops.len() {
@@ -772,8 +689,7 @@ impl<E: Extension> Machine<E> {
         let mut recorded = 0;
         let mut executed = 0u64;
         let mut committed = 0u64;
-        let mut completed = true;
-        let mut reason = None;
+        let mut deopt = None;
         for (i, (op, tmpl)) in b.ops.iter().zip(b.tmpls.iter()).enumerate() {
             executed += 1;
             if tmpl.walk_reads > 0 {
@@ -785,11 +701,8 @@ impl<E: Extension> Machine<E> {
             let tracked = op.is_mem || i == last;
             let slot = &mut dynamic[recorded];
             if tracked {
-                slot.1 = *tmpl;
-                if !FLAT {
-                    slot.0 = i as u8;
-                    recorded += 1;
-                }
+                *slot = (i as u8, *tmpl);
+                recorded += 1;
             }
             let ev = &mut slot.1;
             match self.execute(&op.d, ev) {
@@ -812,12 +725,11 @@ impl<E: Extension> Machine<E> {
                     ev.trap_cause = cause;
                     ev.next_pc = next_pc;
                     ev.ext = self.ext.drain_events();
-                    if !FLAT && !tracked {
-                        dynamic[recorded].0 = i as u8;
+                    if !tracked {
+                        slot.0 = i as u8;
                         recorded += 1;
                     }
-                    completed = false;
-                    reason = Some(DeoptReason::Trap);
+                    deopt = Some(DeoptReason::Trap);
                     break;
                 }
             }
@@ -836,10 +748,9 @@ impl<E: Extension> Machine<E> {
                     // table write) deoptimizes at the causing store.
                     if !in_ram
                         || self.bus.code_epoch() != code_epoch
-                        || self.ext.coherence_epoch() != b.guard.epoch
+                        || self.ext.coherence_epoch() != ext_epoch
                     {
-                        completed = false;
-                        reason = Some(if in_ram {
+                        deopt = Some(if in_ram {
                             DeoptReason::Epoch
                         } else {
                             DeoptReason::Mmio
@@ -857,17 +768,9 @@ impl<E: Extension> Machine<E> {
         if let Some(bb) = self.bbcache.as_deref_mut() {
             bb.credit_jit(executed);
         }
-        let cycles = if FLAT {
-            executed * flat_cost
-        } else {
-            self.timing.retire_block(&b.tmpls, &dynamic[..recorded])
-        };
+        let cycles = self.timing.retire_block(&b.tmpls, &dynamic[..recorded]);
         self.cpu.csrs.add_cycles(cycles);
-        BlockExit {
-            executed,
-            completed,
-            reason,
-        }
+        (executed, deopt)
     }
 }
 
@@ -897,36 +800,12 @@ mod tests {
         let mut g = JitGuard {
             active: true,
             domain: 3,
-            epoch: 0,
             words: [0; GUARD_WORDS],
         };
         assert!(!g.allows(add), "all-zero bitmap denies");
         let i = add.class_index();
         g.words[i / 64] |= 1 << (i % 64);
         assert!(g.allows(add), "set bit allows exactly that class");
-    }
-
-    #[test]
-    fn heat_promotes_at_threshold_and_poison_sticks() {
-        let mut jit = Jit::new();
-        let key = FetchKey::new(Priv::M, 0, 0, 0);
-        for _ in 0..HOT_THRESHOLD - 1 {
-            assert!(!jit.bump_heat(RAM, &key), "below threshold stays cold");
-        }
-        assert!(jit.bump_heat(RAM, &key), "crossing the threshold promotes");
-        jit.set_heat(RAM, &key, POISON);
-        for _ in 0..4 * HOT_THRESHOLD {
-            assert!(!jit.bump_heat(RAM, &key), "poisoned heads never promote");
-        }
-        // A conflicting head evicts the slot and restarts from 1.
-        let tag = Jit::key_tag(&key);
-        let idx = Jit::heat_index(RAM, tag);
-        let other = (1u64..)
-            .map(|i| RAM + i * 4)
-            .find(|&p| Jit::heat_index(p, tag) == idx)
-            .expect("a colliding head exists");
-        assert!(!jit.bump_heat(other, &key), "conflict takeover starts cold");
-        assert!(!jit.bump_heat(RAM, &key), "evicted head restarts cold");
     }
 
     /// Interpret `prog` for `warm` steps with the JIT latched off so
@@ -946,9 +825,56 @@ mod tests {
         (m, key)
     }
 
+    fn cache(m: &mut Machine<NullExtension>) -> &mut BbCache {
+        m.bbcache.as_deref_mut().expect("bbcache on")
+    }
+
+    fn compile_at(
+        m: &mut Machine<NullExtension>,
+        guard: &JitGuard,
+        pc: u64,
+        key: &FetchKey,
+    ) -> Option<Block> {
+        compile(&cache(m).code_page(pc, key)?, guard, pc, Priv::M)
+    }
+
+    /// Dispatch at `pc` the way `jit_chain` does, handing the block
+    /// straight back to its page.
+    fn probe(
+        m: &mut Machine<NullExtension>,
+        stats: &mut JitStats,
+        pc: u64,
+        key: &FetchKey,
+    ) -> Option<BlockId> {
+        let bb = cache(m);
+        let (id, b) = enter(bb, stats, None, pc, key, &JitGuard::INACTIVE, Priv::M)?;
+        put_block(bb, id, b);
+        Some(id)
+    }
+
+    /// Probe `pc` until it compiles (at most [`HOT_THRESHOLD`] probes).
+    fn promote(
+        m: &mut Machine<NullExtension>,
+        stats: &mut JitStats,
+        pc: u64,
+        key: &FetchKey,
+    ) -> BlockId {
+        (0..HOT_THRESHOLD)
+            .find_map(|_| probe(m, stats, pc, key))
+            .expect("a warm head promotes")
+    }
+
     fn halt_tail(a: &mut Asm) {
         a.li(T6, mmio::HALT);
         a.sd(Zero, T6, 0);
+    }
+
+    fn spin_loop() -> Program {
+        let mut a = Asm::new(RAM);
+        a.label("top");
+        a.addi(A0, A0, 1);
+        a.j("top");
+        a.assemble().unwrap()
     }
 
     #[test]
@@ -960,9 +886,8 @@ mod tests {
         a.label("tail");
         halt_tail(&mut a);
         let prog = a.assemble().unwrap();
-        let (m, key) = warmed(&prog, 64);
-        let bb = m.bbcache.as_deref().unwrap();
-        let b = compile(bb, &JitGuard::INACTIVE, RAM, &key, Priv::M).expect("compiles");
+        let (mut m, key) = warmed(&prog, 64);
+        let b = compile_at(&mut m, &JitGuard::INACTIVE, RAM, &key).expect("compiles");
         assert_eq!(b.ops.len(), 3, "two ALU ops plus the jal");
         match b.end {
             BlockEnd::Fixed(t) => assert_eq!(t, prog.symbol("tail")),
@@ -983,8 +908,7 @@ mod tests {
         let (mut m, key) = warmed(&prog, 0);
         m.cpu.regs[Ra as usize] = prog.symbol("tail");
         m.run_steps(8); // addi, bnez, jalr, halt tail: every slot fills
-        let bb = m.bbcache.as_deref().unwrap();
-        let b = compile(bb, &JitGuard::INACTIVE, RAM, &key, Priv::M).expect("compiles");
+        let b = compile_at(&mut m, &JitGuard::INACTIVE, RAM, &key).expect("compiles");
         assert_eq!(b.ops.len(), 2);
         match b.end {
             BlockEnd::Branch { taken, fall } => {
@@ -993,7 +917,7 @@ mod tests {
             }
             _ => panic!("bnez ends the block as a branch"),
         }
-        let j = compile(bb, &JitGuard::INACTIVE, RAM + 8, &key, Priv::M).expect("compiles");
+        let j = compile_at(&mut m, &JitGuard::INACTIVE, RAM + 8, &key).expect("compiles");
         assert_eq!(j.ops.len(), 1);
         assert!(matches!(j.end, BlockEnd::Indirect), "jalr is indirect");
     }
@@ -1006,15 +930,15 @@ mod tests {
         a.addi(A1, A1, 1);
         halt_tail(&mut a);
         let prog = a.assemble().unwrap();
-        let (m, key) = warmed(&prog, 64);
-        let bb = m.bbcache.as_deref().unwrap();
-        let b = compile(bb, &JitGuard::INACTIVE, RAM, &key, Priv::M).expect("compiles");
+        let (mut m, key) = warmed(&prog, 64);
+        let g = JitGuard::INACTIVE;
+        let b = compile_at(&mut m, &g, RAM, &key).expect("compiles");
         assert_eq!(b.ops.len(), 1, "block stops before the fence");
         assert!(matches!(b.end, BlockEnd::Fixed(t) if t == RAM + 4));
         // A serializing head is uncompilable.
-        assert!(compile(bb, &JitGuard::INACTIVE, RAM + 4, &key, Priv::M).is_none());
+        assert!(compile_at(&mut m, &g, RAM + 4, &key).is_none());
         // An uncached page has nothing to compile from.
-        assert!(compile(bb, &JitGuard::INACTIVE, RAM + 0x10_0000, &key, Priv::M).is_none());
+        assert!(compile_at(&mut m, &g, RAM + 0x10_0000, &key).is_none());
     }
 
     #[test]
@@ -1025,9 +949,8 @@ mod tests {
         }
         halt_tail(&mut a);
         let prog = a.assemble().unwrap();
-        let (m, key) = warmed(&prog, (MAX_OPS + 16) as u64);
-        let bb = m.bbcache.as_deref().unwrap();
-        let b = compile(bb, &JitGuard::INACTIVE, RAM, &key, Priv::M).expect("compiles");
+        let (mut m, key) = warmed(&prog, (MAX_OPS + 16) as u64);
+        let b = compile_at(&mut m, &JitGuard::INACTIVE, RAM, &key).expect("compiles");
         assert_eq!(b.ops.len(), MAX_OPS);
         assert!(matches!(b.end, BlockEnd::Fixed(t) if t == RAM + 4 * MAX_OPS as u64));
     }
@@ -1038,48 +961,180 @@ mod tests {
         a.addi(A0, A0, 1);
         halt_tail(&mut a);
         let prog = a.assemble().unwrap();
-        let (m, key) = warmed(&prog, 8);
-        let bb = m.bbcache.as_deref().unwrap();
+        let (mut m, key) = warmed(&prog, 8);
         let denied = JitGuard {
             active: true,
             domain: 1,
-            epoch: 0,
             words: [0; GUARD_WORDS],
         };
         assert!(
-            compile(bb, &denied, RAM, &key, Priv::M).is_none(),
+            compile_at(&mut m, &denied, RAM, &key).is_none(),
             "a denied head traps in the interpreter, never in a block"
         );
     }
 
     #[test]
+    fn heat_promotes_at_threshold_and_poison_sticks() {
+        let mut a = Asm::new(RAM);
+        a.addi(A0, A0, 1);
+        a.fence_i();
+        halt_tail(&mut a);
+        let prog = a.assemble().unwrap();
+        let (mut m, key) = warmed(&prog, 8);
+        let mut stats = JitStats::default();
+        for _ in 0..HOT_THRESHOLD - 1 {
+            assert!(
+                probe(&mut m, &mut stats, RAM, &key).is_none(),
+                "below threshold stays cold"
+            );
+        }
+        let id = probe(&mut m, &mut stats, RAM, &key).expect("crossing the threshold promotes");
+        assert_eq!(stats.compiled, 1);
+        assert_eq!(
+            probe(&mut m, &mut stats, RAM, &key),
+            Some(id),
+            "the head now dispatches"
+        );
+        assert_eq!(stats.compiled, 1, "a compiled head is not recompiled");
+        // The fence head is uncompilable: it poisons at the threshold …
+        for _ in 0..4 * HOT_THRESHOLD {
+            assert!(probe(&mut m, &mut stats, RAM + 4, &key).is_none());
+        }
+        assert_eq!(stats.compiled, 1, "poisoned heads never compile");
+        let page = cache(&mut m).code_page(RAM, &key).expect("page cached");
+        let fence = page.code.head(1);
+        assert_eq!(page.code.heads[fence].heat, POISON);
+        // … while a head whose decode slot is still cold gathers no heat.
+        let cold = slot_of(prog.end() + 0x100) as u16;
+        assert!(page.code.compiled(cold).is_none());
+        for _ in 0..2 * HOT_THRESHOLD {
+            assert!(probe(&mut m, &mut stats, prog.end() + 0x100, &key).is_none());
+        }
+        let page = cache(&mut m).code_page(RAM, &key).expect("page cached");
+        assert!(
+            page.code.heads.iter().all(|h| h.slot != cold),
+            "cold slots hold no head"
+        );
+    }
+
+    #[test]
+    fn guard_change_recompiles_in_place() {
+        let (mut m, key) = warmed(&spin_loop(), 8);
+        let mut stats = JitStats::default();
+        let id = promote(&mut m, &mut stats, RAM, &key);
+        let other = JitGuard {
+            domain: 5,
+            ..JitGuard::INACTIVE
+        };
+        let bb = cache(&mut m);
+        let (again, b) =
+            enter(bb, &mut stats, Some(id), RAM, &key, &other, Priv::M).expect("recompiles");
+        assert_eq!(again, id, "same head, same place: links into it stay valid");
+        assert_eq!(b.guard, other);
+        assert_eq!(
+            (stats.guard_misses, stats.compiled, stats.linked),
+            (1, 2, 0)
+        );
+        put_block(bb, again, b);
+    }
+
+    #[test]
     fn epoch_movement_flushes_blocks_and_heat() {
+        let (mut m, key) = warmed(&spin_loop(), 8);
+        let code = m.bus.code_epoch();
+        let mut stats = JitStats::default();
+        let id = promote(&mut m, &mut stats, RAM, &key);
+        let bb = cache(&mut m);
+        assert!(!bb.sync_epochs(code, 0), "stable epochs keep blocks");
+        assert!(bb.blocks_at(id.page).is_some());
+        assert!(bb.sync_epochs(code + 1, 0), "code epoch flushes blocks");
+        assert!(bb.blocks_at(id.page).is_none(), "and kills links into them");
+        // The flush took the translation too: refill it by stepping.
+        m.run_steps(8);
+        let id = promote(&mut m, &mut stats, RAM, &key);
+        let bb = cache(&mut m);
+        assert!(
+            bb.sync_epochs(code + 1, 7),
+            "coherence epoch flushes blocks too"
+        );
+        assert!(bb.blocks_at(id.page).is_none());
+        // Heat went with the blocks: the head starts cold again.
+        m.run_steps(8);
+        assert!(probe(&mut m, &mut stats, RAM, &key).is_none());
+        // Flushing a cache holding no blocks drops none.
+        assert!(!cache(&mut m).sync_epochs(code + 2, 7));
+    }
+
+    #[test]
+    fn eviction_drops_the_pages_blocks_and_links_into_them() {
+        // A loop on the RAM base page calls a helper on the next page, so
+        // the helper's block links back into the loop's page.
         let mut a = Asm::new(RAM);
         a.label("top");
         a.addi(A0, A0, 1);
+        a.j("far");
+        a.align(4096);
+        a.label("far");
+        a.addi(A1, A1, 1);
         a.j("top");
         let prog = a.assemble().unwrap();
-        let (m, key) = warmed(&prog, 8);
-        let bb = m.bbcache.as_deref().unwrap();
-        let mut jit = Jit::new();
-        jit.sync_epochs(0, 0);
-        let b = compile(bb, &JitGuard::INACTIVE, RAM, &key, Priv::M).expect("compiles");
-        jit.insert(RAM, key, b);
-        assert_eq!(jit.lookup(RAM, &key), Some(0));
-        jit.sync_epochs(0, 0);
-        assert_eq!(jit.lookup(RAM, &key), Some(0), "stable epochs keep blocks");
-        assert_eq!(jit.stats.flushes, 0);
-        jit.sync_epochs(1, 0);
-        assert_eq!(jit.lookup(RAM, &key), None, "code epoch flushes");
-        assert_eq!(jit.stats.flushes, 1);
-        let b = compile(bb, &JitGuard::INACTIVE, RAM, &key, Priv::M).expect("compiles");
-        jit.insert(RAM, key, b);
-        jit.sync_epochs(1, 7);
-        assert_eq!(jit.lookup(RAM, &key), None, "coherence epoch flushes too");
-        assert_eq!(jit.stats.flushes, 2);
-        // Flushing an already-empty jit is not a flush event.
-        jit.sync_epochs(2, 7);
-        assert_eq!(jit.stats.flushes, 2);
+        let far = prog.symbol("far");
+        let (mut m, key) = warmed(&prog, 16);
+        let mut stats = JitStats::default();
+        let home = promote(&mut m, &mut stats, RAM, &key);
+        let helper = promote(&mut m, &mut stats, far, &key);
+        let bb = cache(&mut m);
+        let (_, mut b) = enter(
+            bb,
+            &mut stats,
+            Some(helper),
+            far,
+            &key,
+            &JitGuard::INACTIVE,
+            Priv::M,
+        )
+        .expect("live link");
+        assert_eq!(
+            successor(bb, &mut b, RAM, &key),
+            Some(home),
+            "helper links home"
+        );
+        // Re-key the loop page's entry with a page that maps onto it.
+        let colliding = (1u64..)
+            .map(|i| RAM + i * 4096)
+            .find(|&v| BbCache::index(v >> 12, &key) == BbCache::index(RAM >> 12, &key))
+            .expect("a colliding page exists");
+        bb.fill_translation(colliding, key, colliding, 0);
+        assert!(
+            bb.blocks_at(home.page).is_none(),
+            "the evicted page's blocks are gone"
+        );
+        assert!(
+            bb.blocks_at(helper.page).is_some(),
+            "the helper's page keeps its block"
+        );
+        assert_eq!(
+            successor(bb, &mut b, RAM, &key),
+            None,
+            "the link into it is dropped"
+        );
+        assert!(b.link_taken.is_none());
+        let linked = stats.linked;
+        assert!(
+            enter(
+                bb,
+                &mut stats,
+                Some(home),
+                RAM,
+                &key,
+                &JitGuard::INACTIVE,
+                Priv::M
+            )
+            .is_none(),
+            "a dead link dispatches, and the evicted page is not cached"
+        );
+        assert_eq!(stats.linked, linked);
+        put_block(bb, helper, b);
     }
 
     #[test]

@@ -338,7 +338,11 @@ impl Bus {
 
     /// Host-side 64-bit read from RAM.
     pub fn read_u64(&self, paddr: u64) -> u64 {
-        u64::from_le_bytes(self.read_bytes(paddr, 8).try_into().unwrap_or_default())
+        assert!(self.in_ram(paddr, 8), "read_u64 outside RAM");
+        let i = self.ram_index(paddr);
+        u64::from_le_bytes(std::array::from_fn(|k| {
+            self.inner.ram[i + k].load(Ordering::Relaxed)
+        }))
     }
 
     /// Host-side 64-bit write to RAM.

@@ -351,6 +351,54 @@ fn unfenced_patch_flushes_hot_blocks_and_matches_stepped() {
     );
 }
 
+/// A compiled loop head whose bbcache page was conflict-evicted is
+/// re-entered through the bbcache, exactly as the stepped fetch sees it.
+/// The loop runs on the RAM base page; a page 204 pages higher maps to
+/// the same direct-mapped entry at `satp = 0` and jumps straight back to
+/// the loop head, four times. Registers, steps and the whole `bbcache.*`
+/// block must match the stepped run.
+#[test]
+fn conflict_evicted_loop_head_re_enters_through_the_bbcache() {
+    let far = RAM + 204 * 4096;
+    let mut a = Asm::new(RAM);
+    a.la(S2, "data");
+    a.li(S3, 5);
+    a.li(S1, 100);
+    a.label("top"); // compiled during the first pass
+    a.addi(A0, A0, 1);
+    a.xor(A1, A1, A0);
+    a.addi(S1, S1, -1);
+    a.bnez(S1, "top");
+    a.j("far");
+    let pad = far - a.here();
+    a.zero(pad as usize);
+    a.label("far");
+    a.li(S1, 100);
+    a.addi(S3, S3, -1);
+    a.beqz(S3, "done");
+    a.j("top"); // straight back to the compiled loop head
+    a.label("done");
+    a.li(T6, mmio::HALT);
+    a.sd(Zero, T6, 0);
+    a.align(8);
+    a.label("data");
+    for i in 0..8u64 {
+        a.d64(i);
+    }
+    let prog = a.assemble().expect("conflict program assembles");
+    assert_eq!(prog.symbol("far"), far);
+    let j = diff_run(&prog, 400_000, None, None).expect("differential run succeeds");
+    assert_eq!(j.bus.halted(), Some(0), "the run halts cleanly");
+    let bb = j.bbcache.as_ref().expect("bbcache on").stats;
+    assert!(bb.key_conflicts >= 8, "both pages evict each other: {bb:?}");
+    let jit = j.jit.as_ref().expect("jit machine keeps its jit");
+    assert!(
+        jit.stats.entered > 0 && jit.stats.linked > 0,
+        "the loop must run compiled: {:?}",
+        jit.stats
+    );
+}
+
 /// End-to-end bit-identity through the full kernel stack: a Figure-5
 /// workload under the decomposed kernel reports the same rows, cycles,
 /// steps, and counters with the JIT on and off — only the `jit.*`
