@@ -198,13 +198,6 @@ impl Asm {
         self
     }
 
-    /// Emit the bytes of `s` followed by a NUL terminator.
-    pub fn cstr(&mut self, s: &str) -> &mut Self {
-        self.bytes.extend_from_slice(s.as_bytes());
-        self.bytes.push(0);
-        self
-    }
-
     // ---- pseudo-instructions ----
 
     /// `nop`.

@@ -33,9 +33,7 @@
 
 mod builder;
 pub mod encode;
-mod parse;
 mod reg;
 
 pub use builder::{Asm, AsmError, Program};
-pub use parse::{csr_addr, csr_name, parse_source, ParseError};
 pub use reg::Reg;

@@ -5,7 +5,8 @@
 
 use isa_asm::Program;
 use isa_grid::PcuConfig;
-use isa_timing::{PipelineModel, TimingStats};
+use isa_obs::TimingCounters;
+use isa_timing::PipelineModel;
 use simkernel::layout::sys;
 use simkernel::{usr, KernelConfig, Platform, Session, SimBuilder};
 use workloads::App;
@@ -13,7 +14,7 @@ use workloads::App;
 use crate::report;
 
 /// Run a program and fetch the timing model's internal statistics.
-fn run_with_stats(cfg: KernelConfig, platform: Platform, prog: &Program) -> (u64, TimingStats) {
+fn run_with_stats(cfg: KernelConfig, platform: Platform, prog: &Program) -> (u64, TimingCounters) {
     let mut s = Session::new(SimBuilder::new(cfg).platform(platform).boot(prog, None));
     let c = s.drain(2_000_000_000).unwrap();
     assert_eq!(c.exit_code, 0, "{cfg:?}");
@@ -29,7 +30,7 @@ fn run_with_stats(cfg: KernelConfig, platform: Platform, prog: &Program) -> (u64
 }
 
 /// One (kernel, stats) pair per configuration.
-pub fn run(scale_div: u64) -> Vec<(&'static str, u64, TimingStats)> {
+pub fn run(scale_div: u64) -> Vec<(&'static str, u64, TimingCounters)> {
     let app = App::Sqlite;
     let mut p = app.bench_params();
     p.scale = (p.scale / scale_div).max(32);
@@ -47,7 +48,7 @@ pub fn run(scale_div: u64) -> Vec<(&'static str, u64, TimingStats)> {
 }
 
 /// Render the breakdown.
-pub fn render(rows: &[(&'static str, u64, TimingStats)]) -> report::Table {
+pub fn render(rows: &[(&'static str, u64, TimingCounters)]) -> report::Table {
     let body: Vec<Vec<String>> = rows
         .iter()
         .map(|(name, cycles, s)| {

@@ -247,12 +247,6 @@ impl Format {
         fmt
     }
 
-    /// Whether a boolean flag (e.g. `--no-bbcache`) is present in the
-    /// process arguments.
-    pub fn has_flag(name: &str) -> bool {
-        std::env::args().skip(1).any(|a| a == name)
-    }
-
     /// Render `t` with this format's backend.
     pub fn emit(&self, t: &Table) -> String {
         match self {

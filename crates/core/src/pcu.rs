@@ -924,12 +924,6 @@ impl Pcu {
 
     // ---- snapshot/restore ----
 
-    /// The attached fault schedule, if any (snapshot seam; the replay
-    /// harness clones it — with its live cursor — into machine forks).
-    pub fn fault_plan(&self) -> Option<&FaultPlan> {
-        self.faults.as_ref()
-    }
-
     /// Swap in a different trusted-memory seal store. Machine forks
     /// need this: [`Pcu::mirror`]/[`PcuSnapshot::build`] *share* the
     /// store by design (mirror PCUs of one machine verify against one
@@ -1036,16 +1030,6 @@ impl Pcu {
         self.faults = s.faults.clone();
         self.audit = s.audit.clone();
         self.ev = ExtEvents::default();
-    }
-
-    /// Reset cache and check statistics (not the caches themselves).
-    pub fn reset_stats(&mut self) {
-        self.inst_cache.stats = CacheStats::default();
-        self.reg_cache.stats = CacheStats::default();
-        self.mask_cache.stats = CacheStats::default();
-        self.sgt_cache.stats = CacheStats::default();
-        self.legal_cache.stats = CacheStats::default();
-        self.stats = PcuStats::default();
     }
 
     // ---- internals ----
@@ -2080,7 +2064,6 @@ impl Extension for Pcu {
             // cache and bitmap — the guard only replays the commit.
             return Some(isa_sim::JitGuard {
                 active: false,
-                domain: self.regs.domain,
                 words: [0; isa_sim::jit::GUARD_WORDS],
             });
         }
@@ -2099,7 +2082,6 @@ impl Extension for Pcu {
         // with different bits fails the guard.
         Some(isa_sim::JitGuard {
             active: true,
-            domain: self.regs.domain,
             words: self.ipr.words,
         })
     }

@@ -714,3 +714,63 @@ fn ext_events_report_gate_and_stack_activity() {
     }
     assert!(saw_gate, "gate event never surfaced");
 }
+
+/// Run one hot loop once in each of `specs`' domains, in order, each
+/// entered through the same gate instruction, and return the JIT's
+/// `(compiled, guard_misses, entered)` tallies.
+fn shared_loop_jit_tallies(specs: &[DomainSpec]) -> (u64, u64, u64) {
+    let mut m = machine(PcuConfig::eight_e());
+    let mut a = Asm::new(RAM);
+    boot_to_s(&mut a);
+    a.label("kernel");
+    a.li(S0, 0); // gate id = next domain's index
+    a.label("gate");
+    a.hccall(S0);
+    a.label("work");
+    a.li(T0, 200);
+    a.label("loop");
+    a.addi(T0, T0, -1);
+    a.bnez(T0, "loop");
+    a.addi(S0, S0, 1);
+    a.li(T1, specs.len() as u64);
+    a.bne(S0, T1, "gate");
+    halt_ok(&mut a);
+    mtrap_halts_with_cause(&mut a);
+    let prog = a.assemble().unwrap();
+    for spec in specs {
+        let d = m.ext.add_domain(&mut m.bus, spec);
+        m.ext.add_gate(
+            &mut m.bus,
+            GateSpec {
+                gate_addr: prog.symbol("gate"),
+                dest_addr: prog.symbol("work"),
+                dest_domain: d,
+            },
+        );
+    }
+    assert_eq!(run(&mut m, &prog), 0xAA);
+    let s = m.jit.as_ref().expect("JIT on by default").stats;
+    (s.compiled, s.guard_misses, s.entered)
+}
+
+#[test]
+fn jit_blocks_are_shared_by_domains_with_equal_bitmaps() {
+    // A block guards the check regime and the instruction bitmap, not
+    // the domain: the loop compiled in one domain is entered as is from
+    // another domain granting the same classes.
+    let mut spec = DomainSpec::compute_only();
+    spec.allow_inst(Kind::Hccall);
+    let (compiled, misses, one) = shared_loop_jit_tallies(std::slice::from_ref(&spec));
+    assert_eq!((compiled, misses), (1, 0));
+    let (compiled, misses, two) = shared_loop_jit_tallies(&[spec.clone(), spec.clone()]);
+    assert_eq!((compiled, misses), (1, 0), "equal bitmaps share the block");
+    assert!(
+        two > one,
+        "the second domain runs the block: {two} vs {one}"
+    );
+    // A different bitmap still fails the guard and recompiles once.
+    let mut other = spec.clone();
+    other.deny_inst(Kind::Mul);
+    let (compiled, misses, _) = shared_loop_jit_tallies(&[spec.clone(), spec, other]);
+    assert_eq!((compiled, misses), (2, 1), "a new bitmap recompiles");
+}

@@ -574,26 +574,19 @@ impl Sim {
     /// tallies, timing-model cycle attribution, and run bookkeeping —
     /// one [`isa_obs::Counters`] value for reports and assertions.
     pub fn counters(&self) -> isa_obs::Counters {
-        let mut c = self.machine.ext.counters();
+        let mut c = isa_smp::hart_counters(&self.machine);
         if let Some(pm) = self
             .machine
             .timing
             .as_any()
             .and_then(|a| a.downcast_ref::<PipelineModel>())
         {
-            c.timing = pm.counters();
+            c.timing = pm.stats;
         } else {
             // Functional platform: the cycle CSR is the only timing.
             c.timing.cycles = self.cycles();
         }
-        c.run.steps = self.machine.steps;
         c.run.traps = self.machine.trap_counts.values().sum();
-        if let Some(bb) = &self.machine.bbcache {
-            c.bbcache = bb.stats.counters();
-        }
-        if let Some(jit) = &self.machine.jit {
-            c.jit = jit.stats.counters();
-        }
         c
     }
 

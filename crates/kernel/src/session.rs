@@ -99,12 +99,6 @@ impl Session {
         &self.sim
     }
 
-    /// The underlying simulation, mutably (request injection: host
-    /// writes into guest memory between quanta).
-    pub fn sim_mut(&mut self) -> &mut Sim {
-        &mut self.sim
-    }
-
     /// Step the guest for at most `quantum` instructions, stopping
     /// early on halt. Host wall-clock spent stepping is accumulated
     /// into the eventual [`Completion::host_secs`].
@@ -332,14 +326,7 @@ impl SmpSession {
     pub fn harvest(&mut self, h: usize) -> Completion {
         let host_secs = self.host_secs;
         let m = self.smp.machine_mut(h);
-        let mut counters = m.ext.counters();
-        if let Some(bb) = &m.bbcache {
-            counters.bbcache = bb.stats.counters();
-        }
-        if let Some(jit) = &m.jit {
-            counters.jit = jit.stats.counters();
-        }
-        counters.run.steps = m.steps;
+        let counters = isa_smp::hart_counters(m);
         let cycles = m.cpu.csrs.read_raw(isa_sim::csr::addr::CYCLE);
         Completion {
             exit_code: m.bus.halted().unwrap_or(0),

@@ -170,8 +170,8 @@ pub struct JitCounters {
     /// Block-to-block transitions that used a resolved fallthrough or
     /// taken link (no dispatch).
     pub linked: u64,
-    /// Block entries whose privilege guard (domain, bitmap) no longer
-    /// matched; each recompiles the block in place.
+    /// Block entries whose privilege guard (check regime, instruction
+    /// bitmap) no longer matched; each recompiles the block in place.
     pub guard_misses: u64,
     /// Early exits to the interpreter mid-block (trap, MMIO store,
     /// code/coherence epoch movement at a store).
@@ -182,7 +182,9 @@ pub struct JitCounters {
     /// Every bail back to the interpreter, broken down by
     /// [`DeoptReason`] index. Wider than `deopts`: it also counts the
     /// pre-dispatch refusals (guard miss, pending interrupt, timer
-    /// window, step budget) that never entered the block.
+    /// window, step budget) that never entered the block, so
+    /// `deopt_by[Guard] == guard_misses` and
+    /// `deopt_by[Trap] + deopt_by[Mmio] + deopt_by[Epoch] >= deopts`.
     pub deopt_by: [u64; DeoptReason::COUNT],
 }
 
@@ -275,7 +277,8 @@ impl ToJson for GateCounters {
 /// Cycle attribution per event class, mirroring the timing model.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TimingCounters {
-    /// Retired events seen by the pipeline model.
+    /// Events the pipeline model processed (instructions and trapped
+    /// attempts).
     pub events: u64,
     /// Total simulated cycles.
     pub cycles: u64,
@@ -283,9 +286,9 @@ pub struct TimingCounters {
     pub fetch_stall: u64,
     /// Cycles stalled on data access.
     pub data_stall: u64,
-    /// Cycles lost to branch redirects.
+    /// Cycles lost to branch mispredictions and jump bubbles.
     pub branch_stall: u64,
-    /// Cycles lost to serializing instructions.
+    /// Cycles lost to serializing instructions (CSRs, fences, xRET).
     pub serialize_stall: u64,
     /// Cycles lost to trap entry/exit.
     pub trap_stall: u64,

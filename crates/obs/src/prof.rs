@@ -75,18 +75,6 @@ impl Histogram {
         Histogram::default()
     }
 
-    /// Index of the log₂ bucket holding `v`. Exposed so latency
-    /// exemplars (trace IDs retained per bucket) share the exact
-    /// bucketing of the histogram they annotate.
-    pub fn bucket_of(v: u64) -> usize {
-        bucket_index(v)
-    }
-
-    /// `(lower, upper)` value bounds of bucket `i`.
-    pub fn bucket_bounds(i: usize) -> (u64, u64) {
-        (bucket_lower(i), bucket_upper(i))
-    }
-
     /// Record one sample.
     pub fn record(&mut self, v: u64) {
         self.buckets[bucket_index(v)] += 1;

@@ -104,18 +104,6 @@ pub struct ExtEvents {
     pub shootdown_epoch: u64,
 }
 
-impl ExtEvents {
-    /// Total extension-issued memory accesses (excluding low-priority
-    /// prefetches).
-    pub fn memory_accesses(&self) -> u32 {
-        self.hpt_inst_miss as u32
-            + self.hpt_reg_miss as u32
-            + self.hpt_mask_miss as u32
-            + self.sgt_miss as u32
-            + self.tstack_ops as u32
-    }
-}
-
 /// Control-flow outcome of executing a custom instruction.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Flow {

@@ -11,15 +11,20 @@
 //! ## The guard
 //!
 //! A block is compiled under a [`JitGuard`]: the active/inactive check
-//! regime, the ISA domain, and — crucially — the *contents* of the
-//! domain's instruction bitmap. Comparing the bitmap words themselves
-//! (not a version counter) makes the guard exactly as fresh as the
-//! stepped interpreter's bypass register (`ipr`): a table rewrite that
-//! the stepped path would not observe until `pflh` or a shootdown is, by
+//! regime and — crucially — the *contents* of the current domain's
+//! instruction bitmap. Comparing the bitmap words themselves (not a
+//! version counter) makes the guard exactly as fresh as the stepped
+//! interpreter's bypass register (`ipr`): a table rewrite that the
+//! stepped path would not observe until `pflh` or a shootdown is, by
 //! construction, also unobserved here, and anything that *does* reload
 //! the bypass register produces different words and fails the guard.
 //! Every block entry compares the full guard; a mismatch recompiles the
 //! block under the current guard (`guard_misses`).
+//!
+//! The guard names no domain: a block bakes in only the regime and the
+//! bitmap, and its loads and stores still run the extension's physical
+//! check when they execute. Domains with equal bitmaps therefore share
+//! their blocks, so code hot under several tenant domains compiles once.
 //!
 //! The PCU only vends an *active* guard when its fast path is pure —
 //! bypass register valid, no legal-instruction cache, no pending
@@ -59,7 +64,7 @@ use crate::bbcache::{BbCache, CodePage, FetchKey, PageAt, PAGE_SLOTS};
 use crate::cpu::{ExtEvents, Extension, Machine, Retired};
 use crate::decode::{Decoded, Kind};
 use crate::trap::Priv;
-use isa_obs::DeoptReason;
+use isa_obs::{DeoptReason, JitCounters};
 
 /// Words in the guard's instruction-bitmap image (one bit per [`Kind`]).
 pub const GUARD_WORDS: usize = Kind::COUNT.div_ceil(64);
@@ -96,8 +101,6 @@ pub struct JitGuard {
     /// M-mode and domain 0). Inactive guards allow every class, exactly
     /// like [`crate::Extension::check_inst`]'s early-out.
     pub active: bool,
-    /// ISA domain the block was validated for.
-    pub domain: u64,
     /// The domain's instruction bitmap at compile time (all-zero for
     /// inactive guards).
     pub words: [u64; GUARD_WORDS],
@@ -108,7 +111,6 @@ impl JitGuard {
     /// ([`crate::NullExtension`] and friends).
     pub const INACTIVE: JitGuard = JitGuard {
         active: false,
-        domain: 0,
         words: [0; GUARD_WORDS],
     };
 
@@ -255,52 +257,9 @@ impl PageBlocks {
     }
 }
 
-/// Superblock-JIT tallies, exported as the `jit.*` counter block.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct JitStats {
-    /// Blocks compiled (recompiles after a guard miss included).
-    pub compiled: u64,
-    /// Block entries (guard passed, ops executed).
-    pub entered: u64,
-    /// Instructions retired inside blocks.
-    pub ops: u64,
-    /// Block-to-block transfers through a resolved link (no dispatch).
-    pub linked: u64,
-    /// Block entries refused because the guard mismatched.
-    pub guard_misses: u64,
-    /// Blocks exited early (trap, MMIO store, epoch movement).
-    pub deopts: u64,
-    /// bbcache flushes (code or coherence epoch movement) that dropped
-    /// compiled blocks.
-    pub flushes: u64,
-    /// Per-reason bail events, indexed by [`DeoptReason`]. Wider than
-    /// `deopts`: it also counts pre-dispatch refusals (guard miss,
-    /// pending interrupt, timer window, step budget), so
-    /// `deopt_by[Guard] == guard_misses` and
-    /// `deopt_by[Trap] + deopt_by[Mmio] + deopt_by[Epoch] >= deopts`
-    /// (pre-entry epoch re-reads land on `Epoch` without a `deopts`
-    /// tick).
-    pub deopt_by: [u64; DeoptReason::COUNT],
-}
-
-impl JitStats {
-    /// Snapshot into the `isa-obs` counter block.
-    pub fn counters(&self) -> isa_obs::JitCounters {
-        isa_obs::JitCounters {
-            compiled: self.compiled,
-            entered: self.entered,
-            ops: self.ops,
-            linked: self.linked,
-            guard_misses: self.guard_misses,
-            deopts: self.deopts,
-            flushes: self.flushes,
-            deopt_by: self.deopt_by,
-        }
-    }
-
-    fn note(&mut self, reason: DeoptReason) {
-        self.deopt_by[reason.index()] += 1;
-    }
+/// Count one bail to the interpreter in `stats.deopt_by`.
+fn note(stats: &mut JitCounters, reason: DeoptReason) {
+    stats.deopt_by[reason.index()] += 1;
 }
 
 /// The JIT's per-machine host state: tallies and the retire buffer.
@@ -311,8 +270,8 @@ pub struct Jit {
     /// templates ([`crate::TimingSink::retire_block`]'s `dynamic`),
     /// grown to the longest block run so records are written in place.
     dynamic: Vec<(u8, Retired)>,
-    /// Counter tallies.
-    pub stats: JitStats,
+    /// Counter tallies (the `jit.*` counter block).
+    pub stats: JitCounters,
 }
 
 /// Compile the straight-line block at `pc0` from `page`'s already-filled
@@ -390,7 +349,7 @@ fn compile(page: &CodePage<'_>, guard: &JitGuard, pc0: u64, priv_level: Priv) ->
 /// interpreter.
 fn enter(
     bb: &mut BbCache,
-    stats: &mut JitStats,
+    stats: &mut JitCounters,
     link: Option<BlockId>,
     pc: u64,
     key: &FetchKey,
@@ -431,7 +390,7 @@ fn enter(
             Some(b) if b.guard == *guard => return Some((id, b)),
             _ => {
                 stats.guard_misses += 1;
-                stats.note(DeoptReason::Guard);
+                note(stats, DeoptReason::Guard);
             }
         }
     } else {
@@ -559,7 +518,7 @@ impl<E: Extension> Machine<E> {
         // Never enter a block while an interrupt is deliverable (the
         // stepped path would redirect this very step) …
         if self.pending_interrupt().is_some() {
-            jit.stats.note(DeoptReason::Interrupt);
+            note(&mut jit.stats, DeoptReason::Interrupt);
             return 0;
         }
         // … and never let the virtual timer fire inside a block: with
@@ -569,7 +528,7 @@ impl<E: Extension> Machine<E> {
             Some(n) => {
                 let left = n.saturating_sub(self.timer_phase());
                 if left <= 1 {
-                    jit.stats.note(DeoptReason::Timer);
+                    note(&mut jit.stats, DeoptReason::Timer);
                     return 0;
                 }
                 fuel.min(left - 1)
@@ -611,14 +570,14 @@ impl<E: Extension> Machine<E> {
                 break;
             };
             if executed + block.ops.len() as u64 > fuel {
-                jit.stats.note(DeoptReason::Budget);
+                note(&mut jit.stats, DeoptReason::Budget);
                 put_block(bb, id, block);
                 break; // would cross the step budget: let the caller decide
             }
             // Concurrent invalidations (run_concurrent only) surface at
             // block granularity: re-read both epochs before entering.
             if self.bus.code_epoch() != code_epoch || self.ext.coherence_epoch() != ext_epoch {
-                jit.stats.note(DeoptReason::Epoch);
+                note(&mut jit.stats, DeoptReason::Epoch);
                 put_block(bb, id, block);
                 break;
             }
@@ -628,7 +587,7 @@ impl<E: Extension> Machine<E> {
             jit.stats.ops += ran;
             if let Some(reason) = deopt {
                 jit.stats.deopts += 1;
-                jit.stats.note(reason);
+                note(&mut jit.stats, reason);
                 if self.obs.is_enabled() {
                     let t = self.cpu.csrs.read_raw(crate::csr::addr::CYCLE);
                     self.obs.request(t, || isa_obs::ReqEvent::Deopt { reason });
@@ -799,7 +758,6 @@ mod tests {
         let add = kind(encode::addi(A0, A0, 1));
         let mut g = JitGuard {
             active: true,
-            domain: 3,
             words: [0; GUARD_WORDS],
         };
         assert!(!g.allows(add), "all-zero bitmap denies");
@@ -842,7 +800,7 @@ mod tests {
     /// straight back to its page.
     fn probe(
         m: &mut Machine<NullExtension>,
-        stats: &mut JitStats,
+        stats: &mut JitCounters,
         pc: u64,
         key: &FetchKey,
     ) -> Option<BlockId> {
@@ -855,7 +813,7 @@ mod tests {
     /// Probe `pc` until it compiles (at most [`HOT_THRESHOLD`] probes).
     fn promote(
         m: &mut Machine<NullExtension>,
-        stats: &mut JitStats,
+        stats: &mut JitCounters,
         pc: u64,
         key: &FetchKey,
     ) -> BlockId {
@@ -964,7 +922,6 @@ mod tests {
         let (mut m, key) = warmed(&prog, 8);
         let denied = JitGuard {
             active: true,
-            domain: 1,
             words: [0; GUARD_WORDS],
         };
         assert!(
@@ -981,7 +938,7 @@ mod tests {
         halt_tail(&mut a);
         let prog = a.assemble().unwrap();
         let (mut m, key) = warmed(&prog, 8);
-        let mut stats = JitStats::default();
+        let mut stats = JitCounters::default();
         for _ in 0..HOT_THRESHOLD - 1 {
             assert!(
                 probe(&mut m, &mut stats, RAM, &key).is_none(),
@@ -1017,32 +974,49 @@ mod tests {
         );
     }
 
+    /// An active guard whose bitmap allows exactly `kinds`.
+    fn allowing(kinds: &[Kind]) -> JitGuard {
+        let mut g = JitGuard {
+            active: true,
+            words: [0; GUARD_WORDS],
+        };
+        for k in kinds {
+            let i = k.class_index();
+            g.words[i / 64] |= 1 << (i % 64);
+        }
+        g
+    }
+
     #[test]
     fn guard_change_recompiles_in_place() {
         let (mut m, key) = warmed(&spin_loop(), 8);
-        let mut stats = JitStats::default();
+        let mut stats = JitCounters::default();
         let id = promote(&mut m, &mut stats, RAM, &key);
-        let other = JitGuard {
-            domain: 5,
-            ..JitGuard::INACTIVE
-        };
+        let loop_only = allowing(&[Kind::Addi, Kind::Jal]);
+        let wider = allowing(&[Kind::Addi, Kind::Jal, Kind::Mul]);
         let bb = cache(&mut m);
-        let (again, b) =
-            enter(bb, &mut stats, Some(id), RAM, &key, &other, Priv::M).expect("recompiles");
-        assert_eq!(again, id, "same head, same place: links into it stay valid");
-        assert_eq!(b.guard, other);
+        let mut entry = |guard: &JitGuard| {
+            let (at, b) = enter(bb, &mut stats, None, RAM, &key, guard, Priv::M)
+                .expect("the head dispatches");
+            assert_eq!(at, id, "same head, same place: links into it stay valid");
+            assert_eq!(b.guard, *guard);
+            put_block(bb, at, b);
+        };
+        entry(&loop_only);
+        entry(&loop_only);
+        entry(&wider);
         assert_eq!(
             (stats.guard_misses, stats.compiled, stats.linked),
-            (1, 2, 0)
+            (2, 3, 0),
+            "each new bitmap recompiles once; an equal one re-enters"
         );
-        put_block(bb, again, b);
     }
 
     #[test]
     fn epoch_movement_flushes_blocks_and_heat() {
         let (mut m, key) = warmed(&spin_loop(), 8);
         let code = m.bus.code_epoch();
-        let mut stats = JitStats::default();
+        let mut stats = JitCounters::default();
         let id = promote(&mut m, &mut stats, RAM, &key);
         let bb = cache(&mut m);
         assert!(!bb.sync_epochs(code, 0), "stable epochs keep blocks");
@@ -1080,7 +1054,7 @@ mod tests {
         let prog = a.assemble().unwrap();
         let far = prog.symbol("far");
         let (mut m, key) = warmed(&prog, 16);
-        let mut stats = JitStats::default();
+        let mut stats = JitCounters::default();
         let home = promote(&mut m, &mut stats, RAM, &key);
         let helper = promote(&mut m, &mut stats, far, &key);
         let bb = cache(&mut m);

@@ -45,7 +45,6 @@ pub mod bbcache;
 mod cpu;
 pub mod csr;
 pub mod decode;
-pub mod disas;
 pub mod jit;
 mod mem;
 pub mod mmu;
@@ -56,11 +55,10 @@ pub use cpu::{
     NullTiming, Retired, RunError, TimingSink,
 };
 pub use decode::{decode, Decoded, Kind};
-pub use disas::disassemble;
 /// The observability layer (re-exported so machine users can build an
 /// [`isa_obs::Obs`] without naming the crate separately).
 pub use isa_obs as obs;
-pub use jit::{Jit, JitGuard, JitStats};
+pub use jit::{Jit, JitGuard};
 pub use mem::{
     mmio, reservation_line, Bus, BusState, DEFAULT_RAM_BASE, DEFAULT_RAM_SIZE, RESERVATION_LINE,
     SNAPSHOT_PAGE,

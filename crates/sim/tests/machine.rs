@@ -75,6 +75,25 @@ fn function_call_and_stack() {
 }
 
 #[test]
+fn gcd_by_remainder_loop() {
+    // Euclid: call, remu, a backward jump and ret in one program.
+    let mut a = Asm::new(RAM);
+    a.li(A0, 12);
+    a.li(A1, 30);
+    a.call("gcd");
+    halt_with_a0(&mut a);
+    a.label("gcd");
+    a.beqz(A1, "done");
+    a.remu(T0, A0, A1);
+    a.mv(A0, A1);
+    a.mv(A1, T0);
+    a.j("gcd");
+    a.label("done");
+    a.ret();
+    assert_eq!(run(a).0, 6, "gcd(12, 30)");
+}
+
+#[test]
 fn memory_byte_halfword_word() {
     let mut a = Asm::new(RAM);
     let buf = RAM + 0x2000;

@@ -71,11 +71,27 @@ pub struct HartResult {
     pub exit: Exit,
     /// Instructions the hart stepped.
     pub steps: u64,
-    /// The hart's PCU counter snapshot.
+    /// The hart's counter snapshot ([`hart_counters`]).
     pub counters: Counters,
     /// The hart's cycle-attribution profile, when the `make` closure
     /// observed the machine through a spine with the profile on.
     pub profile: Option<isa_obs::Profile>,
+}
+
+/// One hart's counter snapshot: its PCU's counters, the machine's
+/// bbcache and JIT tallies, and its step count. Every per-hart harvest
+/// (single-hart sims, SMP sessions, [`Smp::counters`],
+/// [`Smp::run_concurrent`]) reads its hart through this one function.
+pub fn hart_counters(m: &Machine<Pcu>) -> Counters {
+    let mut c = m.ext.counters();
+    if let Some(bb) = &m.bbcache {
+        c.bbcache = bb.stats.counters();
+    }
+    if let Some(jit) = &m.jit {
+        c.jit = jit.stats;
+    }
+    c.run.steps = m.steps;
+    c
 }
 
 /// Merge per-hart counter snapshots into one whole-machine view,
@@ -317,14 +333,7 @@ impl Smp {
     pub fn counters(&self) -> Counters {
         let mut c = Counters::default();
         for m in &self.harts {
-            c.merge(&m.ext.counters());
-            c.run.steps += m.steps;
-            if let Some(bb) = &m.bbcache {
-                c.bbcache.merge(&bb.stats.counters());
-            }
-            if let Some(jit) = &m.jit {
-                c.jit.merge(&jit.stats.counters());
-            }
+            c.merge(&hart_counters(m));
         }
         c.smp.harts = self.harts.len() as u64;
         c.smp.reservation_breaks = self.bus().reservation_breaks();
@@ -358,13 +367,7 @@ impl Smp {
                         let mut m = make(h, hart_bus);
                         m.ext.attach_shootdown(cell, h);
                         let exit = m.run(max_steps);
-                        let mut counters = m.ext.counters();
-                        if let Some(bb) = &m.bbcache {
-                            counters.bbcache = bb.stats.counters();
-                        }
-                        if let Some(jit) = &m.jit {
-                            counters.jit = jit.stats.counters();
-                        }
+                        let counters = hart_counters(&m);
                         // A profile is plain data, so it ships back
                         // across the thread boundary even though the
                         // handle itself does not.

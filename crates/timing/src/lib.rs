@@ -48,7 +48,7 @@ mod cache;
 mod model;
 
 pub use cache::{BranchPredictor, CacheLevelStats, CacheModel, CacheParams, TlbModel};
-pub use model::{PipelineModel, TimingConfig, TimingStats};
+pub use model::{PipelineModel, TimingConfig};
 
 /// Convenience: a machine timing sink for the given platform.
 pub fn sink(cfg: TimingConfig) -> Box<PipelineModel> {

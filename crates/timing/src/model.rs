@@ -14,6 +14,7 @@
 //! and ≈ 52/44, cache-missing loads > 120 and > 200 cycles). Relative
 //! application overheads then *emerge* from the instruction streams.
 
+use isa_obs::TimingCounters;
 use isa_sim::{Kind, MemAccess, Retired, TimingSink};
 
 use crate::cache::{BranchPredictor, CacheModel, CacheParams, TlbModel, WordReader};
@@ -171,33 +172,6 @@ impl TimingConfig {
     }
 }
 
-/// Aggregate cycle accounting, split by cause.
-#[derive(Debug, Default, Clone, Copy, PartialEq, Eq)]
-pub struct TimingStats {
-    /// Events processed (instructions + trapped attempts).
-    pub events: u64,
-    /// Total cycles charged.
-    pub cycles: u64,
-    /// Cycles stalled on instruction fetch.
-    pub fetch_stall: u64,
-    /// Cycles stalled on data access.
-    pub data_stall: u64,
-    /// Cycles lost to branch mispredictions and jump bubbles.
-    pub branch_stall: u64,
-    /// Cycles lost to serialization (CSRs, fences, xRET).
-    pub serialize_stall: u64,
-    /// Cycles lost to traps.
-    pub trap_stall: u64,
-    /// Cycles lost to TLB walks.
-    pub walk_stall: u64,
-    /// Cycles spent in PCU privilege-cache misses.
-    pub pcu_stall: u64,
-    /// Cycles spent in gate switches (redirect + trusted stack).
-    pub gate_cycles: u64,
-    /// Cycles spent flushing privilege caches on cross-hart shootdowns.
-    pub shootdown_stall: u64,
-}
-
 /// The cycle-cost model. Implements [`TimingSink`]; plug into a
 /// [`isa_sim::Machine`] via `with_timing`.
 #[derive(Debug)]
@@ -214,8 +188,8 @@ pub struct PipelineModel {
     /// Issue-slot increment in eighths of a cycle (`8 / issue_width`),
     /// precomputed so `retire` avoids a per-instruction division.
     frac_inc: u64,
-    /// Aggregate statistics.
-    pub stats: TimingStats,
+    /// Cycle attribution by cause (the `timing.*` counter block).
+    pub stats: TimingCounters,
 }
 
 impl PipelineModel {
@@ -232,33 +206,13 @@ impl PipelineModel {
             bp: BranchPredictor::new(cfg.predictor_bits),
             frac: 0,
             frac_inc: 8 / cfg.issue_width,
-            stats: TimingStats::default(),
+            stats: TimingCounters::default(),
         }
     }
 
     /// The configuration in use.
     pub fn config(&self) -> &TimingConfig {
         &self.cfg
-    }
-
-    /// Snapshot the cycle attribution into the observability layer's
-    /// [`isa_obs::TimingCounters`] (the `timing.*` section of the
-    /// unified counter registry).
-    pub fn counters(&self) -> isa_obs::TimingCounters {
-        let s = &self.stats;
-        isa_obs::TimingCounters {
-            events: s.events,
-            cycles: s.cycles,
-            fetch_stall: s.fetch_stall,
-            data_stall: s.data_stall,
-            branch_stall: s.branch_stall,
-            serialize_stall: s.serialize_stall,
-            trap_stall: s.trap_stall,
-            walk_stall: s.walk_stall,
-            pcu_stall: s.pcu_stall,
-            gate_cycles: s.gate_cycles,
-            shootdown_stall: s.shootdown_stall,
-        }
     }
 
     /// Walk the hierarchy below L1; returns the extra stall cycles.
@@ -778,7 +732,7 @@ mod tests {
         let want = 5 * m.cfg.shootdown_flush_penalty;
         assert!(c >= want, "flush must stall: {c} < {want}");
         assert_eq!(m.stats.shootdown_stall, want);
-        assert_eq!(m.counters().shootdown_stall, want);
+        assert_eq!(m.stats.shootdown_stall, want);
     }
 
     #[test]

@@ -163,6 +163,8 @@ fn concurrent_threads_agree_with_interleaver() {
     assert_eq!(bus.read_u64(prog.symbol("amo")), 2 * ITERS);
     let merged = merge_results(&results, &bus);
     assert_eq!(merged.smp.harts, 2);
+    let steps: u64 = results.iter().map(|r| r.steps).sum();
+    assert_eq!(merged.run.steps, steps, "per-hart counters carry run.steps");
 }
 
 proptest! {
