@@ -452,6 +452,11 @@ pub struct Pcu {
     fstats: FaultLayerStats,
     /// Cache scrubs already folded into `fstats` (reconciliation mark).
     scrubs_seen: u64,
+    /// A privilege-cache lookup missed since the last reconciliation. A
+    /// scrub reports a miss, so this is the only time a cache's
+    /// `corrupt_detected` can have moved; `drain_events` reconciles
+    /// only then.
+    scrub_pending: bool,
     /// Test-only seeded bug: when set, a failed instruction-bitmap check
     /// is *not* enforced — the forbidden instruction executes anyway.
     /// Exists so the differential oracle has a known-bad PCU to catch;
@@ -561,6 +566,7 @@ impl Pcu {
             shoot_defer_polls: 0,
             fstats: FaultLayerStats::default(),
             scrubs_seen: 0,
+            scrub_pending: false,
             skip_inst_check: false,
         };
         if !cfg.integrity {
@@ -1023,6 +1029,8 @@ impl Pcu {
         self.stats = s.stats;
         self.fstats = s.fstats;
         self.scrubs_seen = s.scrubs_seen;
+        // Restored caches may hold detections not yet reconciled.
+        self.scrub_pending = true;
         self.commits = s.commits;
         self.poisoned = s.poisoned;
         self.shoot_defer = s.shoot_defer;
@@ -1097,6 +1105,7 @@ impl Pcu {
             hit: false,
         });
         self.ev.hpt_inst_miss += 1;
+        self.scrub_pending = true;
         let word = self.tmem_read_verified(bus, self.layout_inst_addr(domain, w))?;
         self.inst_cache.insert(tag, [word, 0, 0, 0]);
         Ok(word)
@@ -1162,6 +1171,7 @@ impl Pcu {
             Some(p) => p,
             None => {
                 self.ev.hpt_reg_miss += 1;
+                self.scrub_pending = true;
                 let base = self.layout_reg_group_addr(domain, group);
                 let mut p = [0u64; 4];
                 for (i, slot) in p.iter_mut().enumerate() {
@@ -1204,6 +1214,7 @@ impl Pcu {
             hit: false,
         });
         self.ev.hpt_mask_miss += 1;
+        self.scrub_pending = true;
         let m = self.tmem_read_verified(bus, self.layout_mask_addr(domain, slot))?;
         let cache = if unified {
             &mut self.inst_cache
@@ -1229,6 +1240,7 @@ impl Pcu {
             hit: false,
         });
         self.ev.sgt_miss += 1;
+        self.scrub_pending = true;
         let base = self.regs.gate_addr + gid * crate::layout::SGT_ENTRY_BYTES;
         let mut p = [0u64; 4];
         for (i, slot) in p.iter_mut().enumerate() {
@@ -1795,6 +1807,7 @@ impl Extension for Pcu {
         let cacheable = self.cfg.legal_cache > 0 && !d.kind.is_csr_access();
         if cacheable {
             let hit = self.legal_cache.lookup(legal_tag).is_some();
+            self.scrub_pending |= !hit;
             self.obs.emit(|| TraceEvent::Cache {
                 cache: CacheKind::Legal,
                 hit,
@@ -2021,7 +2034,10 @@ impl Extension for Pcu {
     // returned copy.
     #[inline]
     fn drain_events(&mut self) -> ExtEvents {
-        self.reconcile_scrubs();
+        if self.scrub_pending {
+            self.scrub_pending = false;
+            self.reconcile_scrubs();
+        }
         std::mem::take(&mut self.ev)
     }
 
@@ -2031,9 +2047,9 @@ impl Extension for Pcu {
 
     fn coherence_epoch(&self) -> u64 {
         // The shootdown cell's epoch moves on every published
-        // cross-hart invalidation; surfacing it here makes the
-        // machine's basic-block cache honor the same flush-before-
-        // next-commit obligation as the privilege caches.
+        // cross-hart invalidation; surfacing it here lets a running
+        // superblock chain stop for the flush-before-next-commit
+        // obligation, which `check_inst` then honours.
         self.shoot.as_ref().map_or(0, |c| c.epoch())
     }
 
@@ -2045,9 +2061,11 @@ impl Extension for Pcu {
         // outside M-mode), no pending or deferred shootdown (must flush
         // before the next commit). With the event ring or the profile on
         // the machine never asks (its `jit_run` returns first).
-        // A shootdown that did land moves `coherence_epoch`, which drops
-        // every block compiled before it along with the bbcache's
-        // decode slots.
+        // A shootdown that did land cleared the bypass register, so no
+        // guard is vended until a stepped `check_inst` reloads it from
+        // the new tables; a block compiled under other bitmap words
+        // then fails its guard and recompiles, one under equal words
+        // is reused.
         if self.faults.is_some()
             || self.poisoned
             || self.shoot_defer > 0

@@ -118,8 +118,9 @@ impl ToJson for CacheBank {
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct BbCounters {
     /// Predecoded-slot lookups (fetches answered without `decode`).
-    /// `flushes` counts whole-cache invalidations — FENCE.I,
-    /// SFENCE.VMA, code-line stores, and cross-hart shootdowns.
+    /// `flushes` counts whole-cache invalidations: stores into cached
+    /// code or page-table lines. Fences and privilege shootdowns flush
+    /// nothing.
     pub decode: CacheCounters,
     /// Fetch-translation lookups (fetches answered without a page
     /// walk). Flush events are tallied on `decode` only; a flush
@@ -176,8 +177,9 @@ pub struct JitCounters {
     /// Early exits to the interpreter mid-block (trap, MMIO store,
     /// code/coherence epoch movement at a store).
     pub deopts: u64,
-    /// bbcache flushes (code or coherence epoch movement) that dropped
-    /// compiled blocks.
+    /// Code-epoch bbcache flushes (stores into cached code or
+    /// page-table lines) that dropped compiled blocks. Privilege
+    /// shootdowns flush nothing.
     pub flushes: u64,
     /// Every bail back to the interpreter, broken down by
     /// [`DeoptReason`] index. Wider than `deopts`: it also counts the

@@ -27,16 +27,24 @@
 //!   `tests/bbcache_diff.rs` proptests replay fence-heavy and
 //!   fence-free self-modifying streams to hold this argument to
 //!   bit-exactness.)
-//! * Cross-hart privilege shootdowns surface through
-//!   [`crate::Extension::coherence_epoch`]; a change flushes before the
-//!   next commit, mirroring the privilege-cache shootdown obligation.
+//! * Cross-hart privilege shootdowns
+//!   ([`crate::Extension::coherence_epoch`]) flush nothing here. They
+//!   rewrite privilege tables, which neither the walker nor the decoder
+//!   reads: a decode slot is a pure function of its code-epoch-guarded
+//!   bytes, and `pkr` and the paging context live in the [`FetchKey`].
+//!   The privilege decision stays with the extension's per-commit check
+//!   (the shootdown flushes the PCU's own caches) and, for compiled
+//!   code, with the block's guard.
 //!
 //! The same contract covers compiled code: the superblock JIT's blocks
 //! and head state live in the page entry they were compiled from
 //! ([`crate::jit::PageBlocks`]) and go whenever that entry's decode slots
-//! do — a flush of either kind, or a conflict re-key. Each entry carries
-//! a generation that every such drop moves, so a block link (which
-//! names an entry at a generation) dies with its target page.
+//! do — a code-epoch flush or a conflict re-key. Each entry carries a
+//! generation that every such drop moves, so a block link (which names
+//! an entry at a generation) dies with its target page. A block bakes
+//! in no privilege state beyond its [`crate::JitGuard`], which dispatch
+//! compares on every entry and link, so shootdowns leave blocks alone
+//! too.
 //!
 //! Entries are validated against everything `mmu::translate` reads for
 //! an `Exec` access — virtual page, privilege level, `satp`, the
@@ -217,9 +225,6 @@ pub struct BbStats {
     pub dtlb_misses: u64,
     /// Whole-cache flushes (a store into a cached code or PTE line).
     pub flushes: u64,
-    /// Decode-slot-only flushes (cross-hart privilege shootdowns):
-    /// translations and data-TLB fills survive these.
-    pub slot_flushes: u64,
     /// Fetch lookups that found a *different* valid page in the
     /// direct-mapped entry. These are capacity/conflict evictions, not
     /// cold misses, and are kept out of the hit-rate denominator.
@@ -230,15 +235,14 @@ pub struct BbStats {
 }
 
 impl BbStats {
-    /// Snapshot into the `isa-obs` counter block. Full flushes are
-    /// tallied on every structure they drop; slot-only flushes on the
-    /// decode side alone (translations survive them).
+    /// Snapshot into the `isa-obs` counter block. Flushes are tallied
+    /// on the decode side.
     pub fn counters(&self) -> isa_obs::BbCounters {
         isa_obs::BbCounters {
             decode: isa_obs::CacheCounters {
                 hits: self.decode_hits,
                 misses: self.decode_misses,
-                flushes: self.flushes + self.slot_flushes,
+                flushes: self.flushes,
                 conflicts: self.key_conflicts,
             },
             tlb: isa_obs::CacheCounters {
@@ -292,8 +296,6 @@ pub struct BbCache {
     dtlb: Vec<DtlbEntry>,
     /// Last bus code epoch this cache was synchronized to.
     code_epoch: u64,
-    /// Last extension (shootdown) epoch this cache was synchronized to.
-    ext_epoch: u64,
     /// Compiled superblocks held across all entries.
     blocks: usize,
     /// Counter tallies.
@@ -313,44 +315,24 @@ impl BbCache {
             entries: (0..ENTRIES).map(|_| Entry::empty()).collect(),
             dtlb: vec![DtlbEntry::empty(); DTLB_ENTRIES],
             code_epoch: 0,
-            ext_epoch: 0,
             blocks: 0,
             stats: BbStats::default(),
         }
     }
 
-    /// Compare the bus and extension epochs against the last values seen
-    /// and flush what each contract invalidates. Called before every
-    /// fetch; both loads are cheap, so the common no-change case costs
-    /// two compares.
-    ///
-    /// The two epochs guard different state:
-    ///
-    /// * the bus code epoch moves when a store dirties a cached code
-    ///   *or PTE* line, so it invalidates decoded bytes and every
-    ///   translation (fetch and data) — full flush;
-    /// * the extension epoch moves on cross-hart privilege shootdowns,
-    ///   which rewrite privilege tables the MMU never reads. Decoded
-    ///   bytes and translations both stay correct (instruction bytes
-    ///   are code-epoch-guarded; `pkr` and the paging context live in
-    ///   the [`FetchKey`]), so only the decode slots — the substrate
-    ///   the superblock JIT promotes from under a privilege-keyed
-    ///   guard — are dropped, and the blocks compiled from them with
-    ///   them. Fetch and data translations survive.
-    ///
-    /// Returns whether the flush dropped any compiled block.
+    /// Compare the bus code epoch against the last value seen and
+    /// flush everything when it moved: a store dirtied a cached code
+    /// *or PTE* line, which invalidates decoded bytes and every
+    /// translation (fetch and data). Called before every fetch; the
+    /// common no-change case costs one compare. Returns whether the
+    /// flush dropped any compiled block.
     #[inline]
-    pub fn sync_epochs(&mut self, code_epoch: u64, ext_epoch: u64) -> bool {
-        if self.code_epoch != code_epoch {
-            self.code_epoch = code_epoch;
-            self.ext_epoch = ext_epoch;
-            self.flush_all()
-        } else if self.ext_epoch != ext_epoch {
-            self.ext_epoch = ext_epoch;
-            self.flush_slots()
-        } else {
-            false
+    pub fn sync_epochs(&mut self, code_epoch: u64) -> bool {
+        if self.code_epoch == code_epoch {
+            return false;
         }
+        self.code_epoch = code_epoch;
+        self.flush_all()
     }
 
     #[inline]
@@ -491,7 +473,7 @@ impl BbCache {
     }
 
     /// Drop every entry (counted as one flush). Code-epoch movement — a
-    /// store into a cached code or PTE line — is the only caller;
+    /// store into a cached code or PTE line — is the only cause;
     /// `FENCE.I`/`SFENCE.VMA` need no flush of their own because every
     /// block they could affect was already dropped here when the
     /// underlying store happened (see the module docs). Returns whether
@@ -505,25 +487,6 @@ impl BbCache {
         }
         for e in &mut self.dtlb {
             e.vpage = INVALID;
-        }
-        held > 0
-    }
-
-    /// Drop decode slots — and the blocks compiled from them — only,
-    /// keeping fetch and data translations live. Cross-hart privilege
-    /// shootdowns (extension-epoch movement) land here: they rewrite
-    /// privilege tables, which the MMU never consults, so cached
-    /// translations stay exactly what the walker would produce, while
-    /// blocks baked the old privilege decisions. Returns whether any
-    /// compiled block was dropped.
-    pub fn flush_slots(&mut self) -> bool {
-        self.stats.slot_flushes += 1;
-        let held = self.blocks;
-        for e in &mut self.entries {
-            if let Some(s) = e.slots.as_deref_mut() {
-                s.fill(None);
-            }
-            self.blocks -= e.drop_code();
         }
         held > 0
     }
@@ -573,9 +536,12 @@ impl BbCache {
 }
 
 #[cfg(test)]
-mod tests {
+pub(crate) mod tests {
     use super::*;
+    use crate::csr::addr;
     use crate::decode::decode;
+    use crate::{Extension, Machine, DEFAULT_RAM_BASE as RAM};
+    use isa_asm::{Asm, Reg::*};
 
     fn key() -> FetchKey {
         FetchKey::new(Priv::M, 0, 0, 0)
@@ -635,49 +601,61 @@ mod tests {
         let k = key();
         bb.fill_translation(0x8000_0000, k, 0x8000_0000, 0);
         bb.fill_slot(0x8000_0000, &k, nop());
-        bb.sync_epochs(0, 0); // no movement: entry survives
+        bb.sync_epochs(0); // no movement: entry survives
         assert!(matches!(bb.lookup(0x8000_0000, &k), Lookup::Hit { .. }));
-        bb.sync_epochs(1, 0); // code epoch moved: everything goes
+        bb.sync_epochs(1); // code epoch moved: everything goes
         assert!(matches!(bb.lookup(0x8000_0000, &k), Lookup::Miss));
-        bb.fill_translation(0x8000_0000, k, 0x8000_0000, 0);
-        bb.fill_slot(0x8000_0000, &k, nop());
-        bb.sync_epochs(1, 3); // shootdown epoch: decode slots only
-        assert!(matches!(
-            bb.lookup(0x8000_0000, &k),
-            Lookup::Translated { .. }
-        ));
         assert_eq!(bb.stats.flushes, 1);
-        assert_eq!(bb.stats.slot_flushes, 1);
+    }
+
+    /// An extension whose coherence (shootdown) epoch a test moves by
+    /// hand.
+    #[derive(Default)]
+    pub(crate) struct Shootdowns(pub(crate) u64);
+
+    impl Extension for Shootdowns {
+        fn coherence_epoch(&self) -> u64 {
+            self.0
+        }
     }
 
     #[test]
     fn shootdown_keeps_unrelated_translations_live() {
-        // A cross-hart privilege shootdown (ext epoch bump) rewrites
-        // privilege tables, not page tables: fetch and data
-        // translations must survive it; only decode slots drop.
-        let mut bb = BbCache::new();
-        let k = FetchKey::new(Priv::S, 8 << 60, 0, 0);
-        bb.fill_translation(0x8000_0000, k, 0x8000_2000, 3);
-        bb.fill_slot(0x8000_0000, &k, nop());
+        // A cross-hart privilege shootdown (coherence epoch move)
+        // rewrites privilege tables, not code or page tables: decode
+        // slots and fetch and data translations all survive it.
+        let mut a = Asm::new(RAM);
+        a.label("top");
+        a.addi(A0, A0, 1);
+        a.j("top");
+        let mut m = Machine::new(Shootdowns(0));
+        m.set_jit(false);
+        m.load_program(&a.assemble().unwrap());
+        m.run_steps(4); // fills the translation and both slots
+        let k = FetchKey::new(
+            Priv::M,
+            m.cpu.csrs.read_raw(addr::SATP),
+            m.cpu.csrs.read_raw(addr::MSTATUS),
+            m.cpu.csrs.read_raw(addr::PKR),
+        );
+        let bb = m.bbcache.as_deref_mut().expect("bbcache on");
         bb.fill_data(0x5000, k, false, 0x8000_3000, 3);
-        bb.fill_data(0x6000, k, true, 0x8000_4000, 3);
-        bb.sync_epochs(0, 7);
-        // Fetch translation lives; the decoded slot is gone.
-        match bb.lookup(0x8000_0000, &k) {
-            Lookup::Translated { paddr, walk_reads } => {
-                assert_eq!(paddr, 0x8000_2000);
-                assert_eq!(walk_reads, 3);
-            }
-            _ => panic!("fetch translation must survive a shootdown"),
-        }
-        // Both data translations live.
+        let before = bb.stats;
+        m.ext.0 = 7;
+        m.run_steps(4);
+        let bb = m.bbcache.as_deref_mut().expect("bbcache on");
+        let s = bb.stats;
+        assert_eq!(
+            s.decode_hits - before.decode_hits,
+            4,
+            "every fetch still hits"
+        );
+        assert_eq!(s.decode_misses, before.decode_misses);
+        assert_eq!(s.flushes, 0, "a shootdown flushes nothing");
         assert_eq!(bb.lookup_data(0x5008, &k, false), Some((0x8000_3008, 3)));
-        assert_eq!(bb.lookup_data(0x6010, &k, true), Some((0x8000_4010, 3)));
-        assert_eq!(bb.stats.flushes, 0, "no full flush on a shootdown");
-        assert_eq!(bb.stats.slot_flushes, 1);
         // A code-epoch move still drops everything.
-        bb.sync_epochs(1, 7);
-        assert!(matches!(bb.lookup(0x8000_0000, &k), Lookup::Miss));
+        bb.sync_epochs(m.bus.code_epoch() + 1);
+        assert!(matches!(bb.lookup(RAM, &k), Lookup::Miss));
         assert!(bb.lookup_data(0x5000, &k, false).is_none());
         assert_eq!(bb.stats.flushes, 1);
     }
@@ -733,7 +711,7 @@ mod tests {
         let mut bb = BbCache::new();
         let k = FetchKey::new(Priv::S, 8 << 60, 0, 0);
         bb.fill_data(0x5000, k, false, 0x8000_3000, 3);
-        bb.sync_epochs(1, 0);
+        bb.sync_epochs(1);
         assert!(bb.lookup_data(0x5000, &k, false).is_none());
     }
 

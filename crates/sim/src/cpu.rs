@@ -230,9 +230,11 @@ pub trait Extension {
 
     /// A monotone counter that moves whenever a cross-hart coherence
     /// event (e.g. a privilege-cache shootdown) lands on this
-    /// extension. The machine compares it against the last value seen
-    /// before each fetch and flushes its basic-block cache on change,
-    /// so predecoded state never outlives the shootdown obligation.
+    /// extension. The superblock JIT ends a running chain when it moves,
+    /// so the next [`Extension::check_inst`] honours the event before
+    /// anything else commits. Nothing cached is flushed: decoded
+    /// instructions and translations never depend on privilege state,
+    /// and a block's [`crate::JitGuard`] is compared on every entry.
     fn coherence_epoch(&self) -> u64 {
         0
     }
@@ -898,15 +900,14 @@ impl<E: Extension> Machine<E> {
     }
 
     /// The bbcache's invalidation contract, applied before any lookup:
-    /// flush if code or PTE lines were written or a cross-hart
-    /// shootdown landed. A flush that drops compiled blocks is a
-    /// `jit.flushes` tick.
+    /// flush if code or PTE lines were written. A flush that drops
+    /// compiled blocks is a `jit.flushes` tick.
     #[inline]
     fn sync_bbcache(&mut self) {
         let Some(bb) = self.bbcache.as_deref_mut() else {
             return;
         };
-        if bb.sync_epochs(self.bus.code_epoch(), self.ext.coherence_epoch()) {
+        if bb.sync_epochs(self.bus.code_epoch()) {
             if let Some(j) = self.jit.as_deref_mut() {
                 j.stats.flushes += 1;
             }

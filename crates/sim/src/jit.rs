@@ -41,14 +41,16 @@
 //! decode slots it was compiled from ([`PageBlocks`]); dispatch reaches
 //! it only through that entry, and a link names the entry at a
 //! generation. So every bbcache drop — code-epoch flush (SMC, PTE
-//! stores), coherence-epoch flush (shootdowns: blocks bake privilege
-//! decisions), conflict re-key — drops that page's blocks and the links
-//! into them. In-block stores are followed by an epoch check so a store
-//! that invalidates its own block deoptimizes *at the causing store*,
-//! and MMIO stores (the halt latch) deoptimize so the run loop observes
-//! them immediately. Snapshots never serialize JIT state: restore brings
-//! the cache up cold and the walk-replay invariant keeps digests
-//! bit-identical.
+//! stores) or conflict re-key — drops that page's blocks and the links
+//! into them. A privilege shootdown drops nothing: it clears the PCU's
+//! bypass register, so no guard is vended until a stepped check reloads
+//! it from the new tables, and then a changed bitmap fails the guard.
+//! The coherence epoch only ends a running chain. In-block stores are
+//! followed by an epoch check so a store that invalidates its own block
+//! deoptimizes *at the causing store*, and MMIO stores (the halt latch)
+//! deoptimize so the run loop observes them immediately. Snapshots
+//! never serialize JIT state: restore brings the cache up cold and the
+//! walk-replay invariant keeps digests bit-identical.
 //!
 //! ## Determinism
 //!
@@ -544,9 +546,9 @@ impl<E: Extension> Machine<E> {
         let code_epoch = self.bus.code_epoch();
         let ext_epoch = self.ext.coherence_epoch();
         // Dispatch reads the bbcache like a fetch does, so it first
-        // applies the same contract, for the epochs the chain checks.
+        // applies the same contract, for the code epoch the chain checks.
         let bb = self.bbcache.as_deref_mut();
-        if bb.is_some_and(|bb| bb.sync_epochs(code_epoch, ext_epoch)) {
+        if bb.is_some_and(|bb| bb.sync_epochs(code_epoch)) {
             jit.stats.flushes += 1;
         }
         let key = {
@@ -575,7 +577,9 @@ impl<E: Extension> Machine<E> {
                 break; // would cross the step budget: let the caller decide
             }
             // Concurrent invalidations (run_concurrent only) surface at
-            // block granularity: re-read both epochs before entering.
+            // block granularity: re-read both epochs before entering. A
+            // moved coherence epoch is a shootdown the guard read above
+            // predates; the interpreter's next check honours it.
             if self.bus.code_epoch() != code_epoch || self.ext.coherence_epoch() != ext_epoch {
                 note(&mut jit.stats, DeoptReason::Epoch);
                 put_block(bb, id, block);
@@ -736,6 +740,7 @@ impl<E: Extension> Machine<E> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::bbcache::tests::Shootdowns;
     use crate::csr::addr;
     use crate::decode::decode;
     use crate::{mmio, Machine, NullExtension, DEFAULT_RAM_BASE as RAM};
@@ -770,7 +775,11 @@ mod tests {
     /// the bbcache decode slots fill exactly as stepped execution
     /// leaves them, then hand back machine + fetch key for `compile`.
     fn warmed(prog: &Program, warm: u64) -> (Machine<NullExtension>, FetchKey) {
-        let mut m = Machine::new(NullExtension);
+        warmed_on(NullExtension, prog, warm)
+    }
+
+    fn warmed_on<E: Extension>(ext: E, prog: &Program, warm: u64) -> (Machine<E>, FetchKey) {
+        let mut m = Machine::new(ext);
         m.set_jit(false);
         m.load_program(prog);
         m.run_steps(warm);
@@ -783,7 +792,7 @@ mod tests {
         (m, key)
     }
 
-    fn cache(m: &mut Machine<NullExtension>) -> &mut BbCache {
+    fn cache<E: Extension>(m: &mut Machine<E>) -> &mut BbCache {
         m.bbcache.as_deref_mut().expect("bbcache on")
     }
 
@@ -798,8 +807,8 @@ mod tests {
 
     /// Dispatch at `pc` the way `jit_chain` does, handing the block
     /// straight back to its page.
-    fn probe(
-        m: &mut Machine<NullExtension>,
+    fn probe<E: Extension>(
+        m: &mut Machine<E>,
         stats: &mut JitCounters,
         pc: u64,
         key: &FetchKey,
@@ -811,8 +820,8 @@ mod tests {
     }
 
     /// Probe `pc` until it compiles (at most [`HOT_THRESHOLD`] probes).
-    fn promote(
-        m: &mut Machine<NullExtension>,
+    fn promote<E: Extension>(
+        m: &mut Machine<E>,
         stats: &mut JitCounters,
         pc: u64,
         key: &FetchKey,
@@ -1014,29 +1023,29 @@ mod tests {
 
     #[test]
     fn epoch_movement_flushes_blocks_and_heat() {
-        let (mut m, key) = warmed(&spin_loop(), 8);
+        let (mut m, key) = warmed_on(Shootdowns(0), &spin_loop(), 8);
         let code = m.bus.code_epoch();
         let mut stats = JitCounters::default();
         let id = promote(&mut m, &mut stats, RAM, &key);
+        // A shootdown moves only the coherence epoch: the block keeps
+        // its page generation, and dispatch re-enters it uncompiled.
+        m.ext.0 = 7;
+        m.set_jit(true);
+        m.run_steps(64);
+        let run = m.jit.as_ref().expect("jit on").stats;
+        assert_eq!((run.compiled, run.flushes), (0, 0), "{run:?}");
+        assert!(run.entered > 0, "{run:?}");
+        m.set_jit(false);
         let bb = cache(&mut m);
-        assert!(!bb.sync_epochs(code, 0), "stable epochs keep blocks");
-        assert!(bb.blocks_at(id.page).is_some());
-        assert!(bb.sync_epochs(code + 1, 0), "code epoch flushes blocks");
+        assert!(bb.blocks_at(id.page).is_some(), "a shootdown keeps blocks");
+        assert!(!bb.sync_epochs(code), "a stable code epoch keeps blocks");
+        assert!(bb.sync_epochs(code + 1), "code epoch flushes blocks");
         assert!(bb.blocks_at(id.page).is_none(), "and kills links into them");
-        // The flush took the translation too: refill it by stepping.
-        m.run_steps(8);
-        let id = promote(&mut m, &mut stats, RAM, &key);
-        let bb = cache(&mut m);
-        assert!(
-            bb.sync_epochs(code + 1, 7),
-            "coherence epoch flushes blocks too"
-        );
-        assert!(bb.blocks_at(id.page).is_none());
         // Heat went with the blocks: the head starts cold again.
         m.run_steps(8);
         assert!(probe(&mut m, &mut stats, RAM, &key).is_none());
         // Flushing a cache holding no blocks drops none.
-        assert!(!cache(&mut m).sync_epochs(code + 2, 7));
+        assert!(!cache(&mut m).sync_epochs(code + 2));
     }
 
     #[test]

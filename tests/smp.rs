@@ -9,10 +9,14 @@
 //! single hart doing all the work sequentially produces. A proptest
 //! sweep drives the seed/quantum space; any failing seed replays
 //! bit-identically.
+//!
+//! A last test pins what a privilege shootdown costs a hart running
+//! compiled code: nothing, when its own instruction bitmap is unchanged.
 
 use isa_asm::{Asm, Program, Reg::*};
-use isa_grid::{Pcu, PcuConfig};
-use isa_sim::{mmio, Bus, Exit, Machine, DEFAULT_RAM_BASE as RAM};
+use isa_grid::{DomainSpec, GridLayout, Pcu, PcuConfig};
+use isa_sim::csr::addr;
+use isa_sim::{mmio, Bus, Exit, Kind, Machine, DEFAULT_RAM_BASE as RAM};
 use isa_smp::{merge_results, Schedule, Smp};
 use proptest::prelude::*;
 
@@ -165,6 +169,80 @@ fn concurrent_threads_agree_with_interleaver() {
     assert_eq!(merged.smp.harts, 2);
     let steps: u64 = results.iter().map(|r| r.steps).sum();
     assert_eq!(merged.run.steps, steps, "per-hart counters carry run.steps");
+}
+
+/// Hart 0 halts at once; hart 1 drops to S-mode and spins an ALU loop
+/// (under whatever ISA domain the test forces), so the loop runs from a
+/// superblock compiled under an active guard.
+fn domain_loop_program() -> Program {
+    let mut a = Asm::new(RAM);
+    a.label("h0");
+    a.li(T6, mmio::HALT);
+    a.sd(Zero, T6, 0);
+    a.nop();
+    a.label("h1");
+    a.li(T1, 0b11 << 11);
+    a.csrrc(Zero, addr::MSTATUS as u32, T1);
+    a.li(T1, 0b01 << 11);
+    a.csrrs(Zero, addr::MSTATUS as u32, T1);
+    a.la(T0, "loop");
+    a.csrw(addr::MEPC as u32, T0);
+    a.mret();
+    a.label("loop");
+    a.addi(A0, A0, 1);
+    a.xor(A1, A1, A0);
+    a.j("loop");
+    a.assemble().expect("domain loop program assembles")
+}
+
+#[test]
+fn shootdown_that_keeps_the_bitmap_keeps_compiled_blocks() {
+    let prog = domain_loop_program();
+    let bus = Bus::with_harts(RAM, 4 << 20, 2);
+    bus.write_bytes(prog.base, &prog.bytes);
+    let mut pcu0 = Pcu::new(PcuConfig::eight_e());
+    let mut b0 = bus.for_hart(0);
+    pcu0.install(&mut b0, GridLayout::new(0x8030_0000, 1 << 20));
+    let tenant = pcu0.add_domain(&mut b0, &DomainSpec::compute_only());
+    let other = pcu0.add_domain(&mut b0, &DomainSpec::compute_only());
+    let snap = pcu0.snapshot();
+    let mut smp = Smp::new(&bus, |h, hb| {
+        let mut m = Machine::on_bus(snap.build(), hb);
+        m.cpu.pc = prog.symbol(if h == 0 { "h0" } else { "h1" });
+        m
+    });
+    smp.machine_mut(1).ext.force_domain(tenant);
+    smp.machine_mut(0).run_steps(16);
+    assert_eq!(smp.machine(0).bus.halted(), Some(0));
+    for _ in 0..4 {
+        smp.machine_mut(1).run_steps(1_000);
+    }
+    let jit = |smp: &Smp| smp.machine(1).jit.as_ref().expect("jit on").stats;
+    let warm = jit(&smp);
+    assert!(warm.compiled > 0 && warm.ops > 3_000, "{warm:?}");
+
+    // Hart 0 revokes a class from the *other* domain: a real shootdown
+    // that leaves hart 1's own bitmap as it was.
+    {
+        let m0 = smp.machine_mut(0);
+        let mut narrowed = DomainSpec::compute_only();
+        narrowed.deny_inst(Kind::Mul);
+        m0.ext.update_domain(&mut m0.bus, other, &narrowed);
+    }
+    assert!(!smp.quiesced());
+    smp.machine_mut(1).run_steps(1_000);
+    assert!(smp.quiesced(), "hart 1 acknowledged the epoch");
+    assert_eq!(smp.machine(1).ext.stats.shootdowns_taken, 1);
+    let after = jit(&smp);
+    assert_eq!(
+        (after.compiled, after.guard_misses, after.flushes),
+        (warm.compiled, 0, 0),
+        "the shootdown must keep hart 1's blocks: {after:?}"
+    );
+    assert!(
+        after.entered > warm.entered && after.ops - warm.ops > 900,
+        "the loop head is re-entered from its old block: {after:?}"
+    );
 }
 
 proptest! {

@@ -15,9 +15,15 @@
 //! * **shootdown** — under [`Smp`] the same revocation faults hart 1's
 //!   *very next* privileged write: not one stale-allowed CSR write
 //!   commits after the table update.
+//!
+//! A third scenario revokes an instruction class that hart 1 runs from
+//! a compiled superblock: the shootdown flushes no code cache, so the
+//! block guard alone must stop the stale allow.
 
 use isa_asm::{Asm, Program, Reg::*};
 use isa_grid::{DomainSpec, GridLayout, Pcu, PcuConfig};
+use isa_obs::JitCounters;
+use isa_replay::{capture_smp, state_digest};
 use isa_sim::csr::addr;
 use isa_sim::{mmio, Bus, Exception, Exit, Kind, Machine, DEFAULT_RAM_BASE as RAM};
 use isa_smp::Smp;
@@ -58,10 +64,10 @@ fn without_stvec() -> DomainSpec {
 
 /// Hart 0 ("the monitor's core") halts immediately — revocation is
 /// driven host-side through its PCU. Hart 1 ("the compromised domain")
-/// drops to S-mode and hammers `stvec`; running the loop to completion
-/// means every write was allowed, while a grid fault lands in `mtrap`
-/// and halts with the cause.
-fn attack_program() -> Program {
+/// routes traps to `mtrap`, drops to S-mode and runs `kernel`; a kernel
+/// that runs to its end halts with 0xAA, while a grid fault lands in
+/// `mtrap` and halts with the cause.
+fn two_hart_program(kernel: impl FnOnce(&mut Asm)) -> Program {
     let mut a = Asm::new(RAM);
     a.label("h0");
     a.li(T6, mmio::HALT);
@@ -81,12 +87,8 @@ fn attack_program() -> Program {
     a.mret();
 
     a.label("kernel");
-    a.li(T2, LOOP_ITERS);
-    a.label("loop");
-    a.csrw(addr::STVEC as u32, T2); // the privileged write under test
-    a.addi(T2, T2, -1);
-    a.bnez(T2, "loop");
-    a.li(A0, 0xAA); // loop survived: every write was allowed
+    kernel(&mut a);
+    a.li(A0, 0xAA);
     a.li(T6, mmio::HALT);
     a.sd(A0, T6, 0);
     a.nop();
@@ -96,20 +98,36 @@ fn attack_program() -> Program {
     a.li(T6, mmio::HALT);
     a.sd(A0, T6, 0);
     a.nop();
-    a.assemble().expect("attack program assembles")
+    a.assemble().expect("two-hart program assembles")
+}
+
+/// Hart 1 hammers `stvec`; running the loop to completion means every
+/// write was allowed.
+fn attack_program() -> Program {
+    two_hart_program(|a| {
+        a.li(T2, LOOP_ITERS);
+        a.label("loop");
+        a.csrw(addr::STVEC as u32, T2); // the privileged write under test
+        a.addi(T2, T2, -1);
+        a.bnez(T2, "loop");
+    })
 }
 
 /// Shared setup: a 2-hart bus with the program image, plus a PCU that
 /// installed the grid tables and registered the victim domain. Its
 /// snapshot seeds every hart's PCU with identical table pointers.
 fn arena() -> (Bus, Program, Pcu, isa_grid::DomainId) {
-    let prog = attack_program();
+    arena_with(attack_program(), &with_stvec())
+}
+
+/// [`arena`] for any program and victim domain.
+fn arena_with(prog: Program, victim: &DomainSpec) -> (Bus, Program, Pcu, isa_grid::DomainId) {
     let bus = Bus::with_harts(RAM, isa_sim::DEFAULT_RAM_SIZE, 2);
     bus.write_bytes(prog.base, &prog.bytes);
     let mut pcu0 = Pcu::new(PcuConfig::eight_e());
     let mut b0 = bus.for_hart(0);
     pcu0.install(&mut b0, GridLayout::new(TMEM, 1 << 20));
-    let d = pcu0.add_domain(&mut b0, &with_stvec());
+    let d = pcu0.add_domain(&mut b0, victim);
     (bus, prog, pcu0, d)
 }
 
@@ -277,4 +295,105 @@ mod mid_shootdown_snapshot {
             prop_assert!(b.machine(1).ext.stats.shootdowns_taken >= 1);
         }
     }
+}
+
+/// Hart 1 spins a hot loop whose first instruction is a `mul`, so the
+/// loop compiles into a superblock that holds one.
+fn mul_loop_program() -> Program {
+    two_hart_program(|a| {
+        a.li(T2, 1 << 40);
+        a.li(T3, 3);
+        a.label("loop");
+        a.mul(T4, T4, T3); // the class under revocation
+        a.addi(T4, T4, 1);
+        a.addi(T2, T2, -1);
+        a.bnez(T2, "loop");
+    })
+}
+
+/// What one revocation run leaves behind on hart 1.
+#[derive(Debug, PartialEq)]
+struct Revoked {
+    exit: Exit,
+    /// Steps from the revocation to the halt.
+    window: u64,
+    steps: u64,
+    mepc: u64,
+    digest: u64,
+}
+
+/// Warm hart 1's `mul` loop in quanta (through the JIT when `jit`),
+/// revoke `mul` from its domain on hart 0 (table write plus shootdown),
+/// then run hart 1 to its halt. Returns the run and hart 1's JIT
+/// tallies at the revocation.
+fn revoke_mul(jit: bool) -> (Revoked, JitCounters) {
+    let (bus, prog, pcu0, d) = arena_with(mul_loop_program(), &DomainSpec::compute_only());
+    let snap = pcu0.snapshot();
+    let mut smp = Smp::new(&bus, |h, hb| {
+        let mut m = Machine::on_bus(snap.build(), hb);
+        m.set_jit(jit);
+        m.cpu.pc = prog.symbol(if h == 0 { "h0" } else { "h1" });
+        m
+    });
+    smp.machine_mut(1).ext.force_domain(d);
+    smp.machine_mut(0).run_steps(16);
+    assert_eq!(smp.machine(0).bus.halted(), Some(0));
+    for _ in 0..8 {
+        smp.machine_mut(1).run_steps(1_000);
+    }
+    let warm = smp
+        .machine(1)
+        .jit
+        .as_ref()
+        .map(|j| j.stats)
+        .unwrap_or_default();
+    assert_eq!(
+        smp.machine(1).ext.stats.faults,
+        0,
+        "mul is allowed while warming"
+    );
+    {
+        let m0 = smp.machine_mut(0);
+        let mut revoked = DomainSpec::compute_only();
+        revoked.deny_inst(Kind::Mul);
+        m0.ext.update_domain(&mut m0.bus, d, &revoked);
+    }
+    assert!(!smp.quiesced(), "hart 1 has not acknowledged yet");
+    let at = smp.machine(1).steps;
+    let exit = smp.machine_mut(1).run(100_000);
+    assert!(smp.quiesced(), "hart 1 acknowledged the epoch");
+    let m1 = smp.machine(1);
+    assert!(m1.ext.stats.shootdowns_taken >= 1);
+    assert_eq!(m1.ext.stats.faults, 1);
+    let run = Revoked {
+        exit,
+        window: m1.steps - at,
+        steps: m1.steps,
+        mepc: m1.cpu.csrs.read_raw(addr::MEPC),
+        digest: state_digest(&capture_smp(&smp, 0)),
+    };
+    (run, warm)
+}
+
+#[test]
+fn revoking_a_class_stops_a_compiled_loop_at_its_next_use() {
+    let (jit, warm) = revoke_mul(true);
+    assert!(
+        warm.compiled > 0 && warm.ops > 4_000,
+        "the loop must run from compiled blocks before the revocation: {warm:?}"
+    );
+    // The first post-acknowledgment `mul` faults: at most the rest of
+    // one loop pass precedes it, then the 4-step trap handler.
+    assert_eq!(
+        jit.exit,
+        Exit::Halted(Exception::CAUSE_GRID_INST),
+        "the revoked class must fault, not retire from a stale block"
+    );
+    assert_eq!(jit.mepc, mul_loop_program().symbol("loop"));
+    assert!(jit.window <= 8, "{} steps after revocation", jit.window);
+    let (stepped, _) = revoke_mul(false);
+    assert_eq!(
+        jit, stepped,
+        "same fault, step count and state with the JIT off"
+    );
 }
